@@ -4,11 +4,13 @@ namespace v6t::bgp {
 
 BgpFeed::SubscriberId BgpFeed::subscribe(PropagationModel model,
                                          std::uint64_t streamKey,
-                                         Callback cb) {
+                                         Callback cb,
+                                         sim::SimTime retireAfter) {
   const SubscriberId id = nextId_++;
   subscribers_.emplace(
       id, Subscriber{model, std::move(cb),
-                     sim::Rng{sim::deriveStreamSeed(seed_, streamKey)}});
+                     sim::Rng{sim::deriveStreamSeed(seed_, streamKey)},
+                     retireAfter});
   return id;
 }
 
@@ -66,22 +68,40 @@ void BgpFeed::withdraw(const net::Prefix& prefix) {
 }
 
 void BgpFeed::publish(const BgpUpdate& update) {
-  for (auto& [id, sub] : subscribers_) {
+  const sim::SimTime now = engine_.now();
+  const auto index = static_cast<std::uint32_t>(published_.size());
+  published_.push_back(update);
+  for (auto it = subscribers_.begin(); it != subscribers_.end();) {
+    Subscriber& sub = it->second;
+    if (now > sub.retireAfter) {
+      // Every delivery scheduled earlier landed at or before retireAfter,
+      // so none is in flight; every later one would land past it.
+      it = subscribers_.erase(it);
+      continue;
+    }
+    const SubscriberId sid = it->first;
+    ++it;
     const sim::Duration delay = sub.model.sample(sub.rng);
+    if (now + delay > sub.retireAfter) continue;
     if (delayMetric_ != nullptr) {
       delayMetric_->observe(static_cast<double>(delay.millis()) / 1000.0);
       deliveriesMetric_->inc();
     }
-    // Copy the callback: the subscriber may unsubscribe before delivery, in
-    // which case the update must be dropped, so route through the id.
-    const SubscriberId sid = id;
-    BgpUpdate delivered = update;
-    delivered.ts = engine_.now() + delay;
-    engine_.scheduleAfter(delay, [this, sid, delivered]() {
-      const auto it = subscribers_.find(sid);
-      if (it != subscribers_.end()) it->second.cb(delivered);
-    });
+    // Route through the id: the subscriber may unsubscribe before delivery,
+    // in which case the update must be dropped.
+    engine_.scheduleInline(now + delay,
+                           [this, sid, index]() { deliver(sid, index); });
   }
+}
+
+void BgpFeed::deliver(SubscriberId sid, std::uint32_t index) {
+  const auto it = subscribers_.find(sid);
+  if (it == subscribers_.end()) return;
+  // Lags are never negative, so the schedule was not clamped: now() is
+  // exactly the publish time plus the lag.
+  BgpUpdate delivered = published_[index];
+  delivered.ts = engine_.now();
+  it->second.cb(delivered);
 }
 
 } // namespace v6t::bgp

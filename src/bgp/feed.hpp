@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <vector>
 
 #include "bgp/rib.hpp"
 #include "bgp/update.hpp"
@@ -48,8 +49,11 @@ public:
   /// invariant the sharded experiment runner builds on — a scanner keyed by
   /// its id behaves identically whether it shares the feed with the whole
   /// population or with a 1/N shard of it.
+  /// `retireAfter` is the last instant the consumer acts on an update:
+  /// later deliveries are never scheduled (their lags are still drawn), and
+  /// the first update published after it drops the subscription.
   SubscriberId subscribe(PropagationModel model, std::uint64_t streamKey,
-                         Callback cb);
+                         Callback cb, sim::SimTime retireAfter = sim::kNever);
 
   /// Convenience for consumers without a natural stable key (tests, ad-hoc
   /// probes): keys off the subscription counter. Not shard-invariant.
@@ -86,9 +90,12 @@ private:
     PropagationModel model;
     Callback cb;
     sim::Rng rng; // private lag stream, derived from (seed_, streamKey)
+    sim::SimTime retireAfter;
   };
 
   void publish(const BgpUpdate& update);
+  /// Hand published_[index], stamped with the arrival time, to `sid`.
+  void deliver(SubscriberId sid, std::uint32_t index);
   /// Assign seq/originTs/traceId and record the trace root.
   void stampTrace(BgpUpdate& update, sim::SimTime now);
 
@@ -106,6 +113,9 @@ private:
   // reproducible runs (each lag comes from the subscriber's own stream, so
   // the order affects only same-instant event sequencing).
   std::map<SubscriberId, Subscriber> subscribers_;
+  // Every update published, in order. Delivery events carry an index into
+  // it: a BgpUpdate copy would not fit the engine's inline action buffer.
+  std::vector<BgpUpdate> published_;
 };
 
 } // namespace v6t::bgp

@@ -23,7 +23,7 @@ void HitlistService::handleUpdate(const BgpUpdate& update) {
       rng_.uniform() * static_cast<double>(params_.jitter.millis()));
   const sim::Duration delay = params_.listingDelay + sim::millis(extra);
   const net::Prefix prefix = update.prefix;
-  engine_.scheduleAfter(delay, [this, prefix]() {
+  engine_.scheduleInline(engine_.now() + delay, [this, prefix]() {
     const sim::SimTime now = engine_.now();
     if (listed_.contains(prefix)) return;
     listed_.emplace(prefix, now);

@@ -78,17 +78,19 @@ SplitController::SplitController(sim::Engine& engine, BgpFeed& feed,
 void SplitController::arm() {
   if (armed_) return;
   armed_ = true;
+  // Actions look their cycle up by index: schedule_ outlives them all.
   for (const AnnouncementCycle& cycle : schedule_.cycles()) {
-    if (cycle.index > 0) {
+    const auto i = static_cast<std::size_t>(cycle.index);
+    if (i > 0) {
       // Withdraw-day: pull everything announced during the previous cycle.
-      const AnnouncementCycle& prev =
-          schedule_.cycles()[static_cast<std::size_t>(cycle.index) - 1];
-      engine_.schedule(cycle.withdrawAt, [this, prev]() {
-        for (const net::Prefix& p : prev.announced) feed_.withdraw(p);
+      engine_.scheduleInline(cycle.withdrawAt, [this, i]() {
+        for (const net::Prefix& p : schedule_.cycles()[i - 1].announced) {
+          feed_.withdraw(p);
+        }
       });
     }
-    engine_.schedule(cycle.announceAt, [this, cycle]() {
-      for (const net::Prefix& p : cycle.announced) {
+    engine_.scheduleInline(cycle.announceAt, [this, i]() {
+      for (const net::Prefix& p : schedule_.cycles()[i].announced) {
         feed_.announce(p, origin_);
       }
     });

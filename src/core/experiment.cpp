@@ -108,7 +108,7 @@ void Experiment::run() {
   // Route6 object for the stable /33, four months in (§3.2) — recorded so
   // its (absent) effect can be evaluated, exactly the paper's negative
   // result.
-  engine_.schedule(sim::kEpoch + config_.routeObjectAt, [this]() {
+  engine_.scheduleInline(sim::kEpoch + config_.routeObjectAt, [this]() {
     const auto [lower, upper] = config_.t1Base.split();
     irr_.addRoute6(lower, config_.ourAsn, engine_.now());
   });

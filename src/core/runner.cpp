@@ -5,6 +5,7 @@
 #include <chrono>
 #include <exception>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -383,12 +384,13 @@ void ExperimentRunner::run() {
       std::size_t cursor = 0;
       auto inject = [&](sim::SimTime upTo) {
         while (cursor < script.size() && script[cursor].at <= upTo) {
-          const fault::FeedOp& a = script[cursor++];
-          world->engine.schedule(a.at, [w = world.get(), a]() {
-            if (a.announce) {
-              w->feed->announce(a.prefix, a.origin);
+          // Points into the script, which outlives every shard's engine.
+          const fault::FeedOp* a = &script[cursor++];
+          world->engine.scheduleInline(a->at, [w = world.get(), a]() {
+            if (a->announce) {
+              w->feed->announce(a->prefix, a->origin);
             } else {
-              w->feed->withdraw(a.prefix);
+              w->feed->withdraw(a->prefix);
             }
           });
         }
@@ -498,14 +500,29 @@ void ExperimentRunner::run() {
         stats_.packetsMerged += capturePacketCount(i);
       }
     } else {
-      for (std::size_t i = 0; i < 4; ++i) {
-        std::vector<const telescope::CaptureStore*> shards;
-        shards.reserve(shardCount);
-        for (const auto& world : worlds) {
-          shards.push_back(&world->telescopes[i]->capture());
+      // The four telescopes merge independently (each reads only its own
+      // column of shard captures and writes only captures_[i]), so they
+      // run on up to `threads` threads; one thread merges serially.
+      const std::size_t mergeThreads =
+          std::min<std::size_t>(shardCount, captures_.size());
+      auto mergeStride = [&](std::size_t first) {
+        for (std::size_t i = first; i < captures_.size(); i += mergeThreads) {
+          std::vector<const telescope::CaptureStore*> shards;
+          shards.reserve(shardCount);
+          for (const auto& world : worlds) {
+            shards.push_back(&world->telescopes[i]->capture());
+          }
+          captures_[i].mergeFrom(shards);
         }
-        captures_[i].mergeFrom(shards);
-        stats_.packetsMerged += captures_[i].packetCount();
+      };
+      std::vector<std::future<void>> helpers;
+      for (std::size_t t = 1; t < mergeThreads; ++t) {
+        helpers.push_back(std::async(std::launch::async, mergeStride, t));
+      }
+      mergeStride(0);
+      for (std::future<void>& helper : helpers) helper.get();
+      for (const telescope::CaptureStore& capture : captures_) {
+        stats_.packetsMerged += capture.packetCount();
       }
     }
   }

@@ -74,7 +74,7 @@ void Scanner::start(bgp::BgpFeed* feed, bgp::HitlistService* hitlist,
         // then starts consuming deltas.
         const sim::SimTime when =
             std::max(engine_.now(), config_.activeFrom);
-        engine_.schedule(when, [this, feed]() {
+        engine_.scheduleInline(when, [this, feed]() {
           auto routes = feed->rib().announcedRoutes();
           std::stable_sort(routes.begin(), routes.end(),
                            [](const auto& a, const auto& b) {
@@ -83,7 +83,9 @@ void Scanner::start(bgp::BgpFeed* feed, bgp::HitlistService* hitlist,
                            });
           for (const auto& [p, entry] : routes) learnPrefix(p);
           // Keyed by the scanner id: the lag stream survives population
-          // sharding (see BgpFeed::subscribe).
+          // sharding (see BgpFeed::subscribe). Retired after activeUntil,
+          // where learnPrefix returns at once and forgetPrefix only edits
+          // state no later event reads.
           feed->subscribe(config_.reaction, config_.id,
                           [this](const bgp::BgpUpdate& u) {
                             const bool isAnnounce =
@@ -105,7 +107,8 @@ void Scanner::start(bgp::BgpFeed* feed, bgp::HitlistService* hitlist,
                               forgetPrefix(u.prefix);
                             }
                             pendingCause_ = Cause{};
-                          });
+                          },
+                          config_.activeUntil);
         });
       }
       break;
@@ -155,7 +158,7 @@ void Scanner::learnPrefix(const net::Prefix& prefix) {
       learnSweepPending_ = true;
       const auto delay = sim::minutes(
           static_cast<std::int64_t>(1 + rng_.uniform() * 6.0));
-      engine_.scheduleAfter(delay, [this]() {
+      engine_.scheduleInline(engine_.now() + delay, [this]() {
         learnSweepPending_ = false;
         runSweep();
       });
@@ -196,7 +199,7 @@ void Scanner::ensureScheduled() {
     }
   }
   sweepScheduled_ = true;
-  engine_.schedule(when, [this]() {
+  engine_.scheduleInline(when, [this]() {
     sweepScheduled_ = false;
     runSweep();
   });
@@ -206,7 +209,7 @@ void Scanner::scheduleNextSweep(sim::SimTime notBefore) {
   if (sweepScheduled_) return;
   if (notBefore > config_.activeUntil) return;
   sweepScheduled_ = true;
-  engine_.schedule(notBefore, [this]() {
+  engine_.scheduleInline(notBefore, [this]() {
     sweepScheduled_ = false;
     runSweep();
   });
@@ -328,7 +331,7 @@ void Scanner::scheduleDrill(const net::Prefix& hot) {
   const sim::SimTime when =
       engine_.now() + sim::millis(std::max<std::int64_t>(gap, 3'600'000));
   if (when > config_.activeUntil) return;
-  engine_.schedule(when, [this, hot]() {
+  engine_.scheduleInline(when, [this, hot]() {
     if (engine_.now() > config_.activeUntil) return;
     enqueueSession(hot);
     scheduleDrill(hot);
@@ -401,7 +404,7 @@ void Scanner::emitSession(const net::Prefix& prefix, sim::SimTime start,
                      obs::trace::ClockDomain::Sim});
   }
   // Emit as a chain of events: O(1) pending events per active session.
-  engine_.schedule(start, [this, state]() { sessionStep(state); });
+  engine_.scheduleInline(start, [this, state]() { sessionStep(state); });
 }
 
 void Scanner::sessionStep(const std::shared_ptr<SessionState>& state) {
@@ -455,8 +458,9 @@ void Scanner::sessionStep(const std::shared_ptr<SessionState>& state) {
   if (state->remaining > 0) {
     const auto gap = static_cast<std::int64_t>(rng_.exponential(
         static_cast<double>(config_.interPacketMean.millis())));
-    engine_.scheduleAfter(sim::millis(std::max<std::int64_t>(gap, 1)),
-                          [this, state]() { sessionStep(state); });
+    engine_.scheduleInline(
+        engine_.now() + sim::millis(std::max<std::int64_t>(gap, 1)),
+        [this, state]() { sessionStep(state); });
   } else {
     // Session complete: release the serialization slot after the
     // sessionization timeout.

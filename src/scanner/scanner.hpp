@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -93,7 +92,7 @@ struct ScannerConfig {
   double sweepsPerWeek = 1.0; // Intermittent (Poisson rate)
   sim::SimTime activeFrom; // agent comes online (default: epoch)
   /// Agent retires; defaults to "never".
-  sim::SimTime activeUntil{std::numeric_limits<std::int64_t>::max()};
+  sim::SimTime activeUntil = sim::kNever;
 
   // --- network selection ---
   NetSelStrategy netsel = NetSelStrategy::SinglePrefix;

@@ -7,8 +7,8 @@
 // the number of *pending* events, not to the total executed — a full
 // 44-week experiment executes millions of events.
 //
-// Hot-path layout (DESIGN.md §11): actions are SmallFunc (inline captures,
-// slab fallback — no per-event malloc), the priority queue is a 4-ary
+// Hot-path layout (DESIGN.md §11): actions are SmallFunc (inline captures —
+// no per-event malloc on any hot path), the priority queue is a 4-ary
 // implicit heap (shallower than binary, sift steps stay in one cache
 // line's worth of children), and cancellation is a generation-stamped
 // live-slot table: cancel() is an O(1) stamp check and a flag flip, with
@@ -45,6 +45,16 @@ public:
   /// Schedule `action` after a relative delay.
   EventId scheduleAfter(Duration delay, Action action) {
     return schedule(now_ + delay, std::move(action));
+  }
+
+  /// schedule() for hot paths: a callable that would not fit SmallFunc's
+  /// inline buffer (and so would allocate per event) fails to compile at
+  /// the calling site.
+  template <typename F>
+  EventId scheduleInline(SimTime when, F&& action) {
+    static_assert(SmallFunc::fitsInline<std::decay_t<F>>(),
+                  "hot-path engine action must fit SmallFunc's inline buffer");
+    return schedule(when, Action{std::forward<F>(action)});
   }
 
   /// Cancel a pending event. Returns false if it already ran, was already

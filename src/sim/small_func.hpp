@@ -1,13 +1,14 @@
 // v6t::sim — small-buffer-optimized move-only callable for engine actions.
 //
 // std::function's inline buffer (two pointers on libstdc++) is smaller
-// than the typical engine lambda — `[this, feed]`, `[this, sid,
-// delivered]`, `[this, cycle]` — so the old `Engine::Action` paid one heap
+// than the typical engine lambda — `[this, feed]`, `[this, sid, index]`,
+// `[this, state]` — so the old `Engine::Action` paid one heap
 // allocation per scheduled event, millions per run. SmallFunc stores up to
 // kInlineBytes of capture state inline in the event-queue entry itself.
-// Callables that do not fit (or whose move may throw) fall back to a
-// process-wide slab pool of fixed-size blocks, so even the cold path
-// recycles memory instead of hitting malloc.
+// Callables that do not fit (or whose move may throw) fall back to plain
+// operator new/delete. No hot-path action takes that path: hot-path sites
+// schedule through Engine::scheduleInline, which static_asserts
+// fitsInline<F>(), so a capture that outgrows the buffer does not compile.
 //
 // Move-only by design: the event queue never copies actions, and dropping
 // the copy requirement is what lets move-only captures (unique_ptr, etc.)
@@ -15,78 +16,24 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <new>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 namespace v6t::sim {
 
-/// Fixed-block slab allocator backing oversized SmallFunc callables.
-/// Blocks are carved from kSlabBlocks-block slabs and recycled through a
-/// free list; blocks larger than kBlockBytes (rare — a capture that big is
-/// a design smell) go straight to operator new. The free list is shared
-/// across threads behind a mutex: this path is off the steady-state hot
-/// path by construction, and cross-thread frees (a shard's world torn
-/// down on the main thread after the merge) must be safe.
-class ActionSlabPool {
-public:
-  static constexpr std::size_t kBlockBytes = 128;
-  static constexpr std::size_t kSlabBlocks = 64;
-
-  static ActionSlabPool& instance() {
-    static ActionSlabPool pool;
-    return pool;
-  }
-
-  void* allocate(std::size_t bytes) {
-    if (bytes > kBlockBytes) return ::operator new(bytes);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (free_.empty()) grow();
-    void* block = free_.back();
-    free_.pop_back();
-    return block;
-  }
-
-  void deallocate(void* p, std::size_t bytes) noexcept {
-    if (bytes > kBlockBytes) {
-      ::operator delete(p);
-      return;
-    }
-    const std::lock_guard<std::mutex> lock(mutex_);
-    free_.push_back(p);
-  }
-
-  /// Blocks currently carved out of slabs (free or not) — test hook.
-  [[nodiscard]] std::size_t blocksFree() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return free_.size();
-  }
-
-private:
-  struct alignas(std::max_align_t) Block {
-    std::byte bytes[kBlockBytes];
-  };
-
-  void grow() {
-    slabs_.push_back(std::make_unique<Block[]>(kSlabBlocks));
-    Block* slab = slabs_.back().get();
-    free_.reserve(free_.size() + kSlabBlocks);
-    for (std::size_t i = 0; i < kSlabBlocks; ++i) free_.push_back(&slab[i]);
-  }
-
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<Block[]>> slabs_;
-  std::vector<void*> free_;
-};
-
 class SmallFunc {
 public:
-  /// Inline capture capacity: sized for `this` plus a handful of values —
-  /// every lambda the simulation schedules today fits.
+  /// Inline capture capacity: sized for `this` plus a handful of values.
   static constexpr std::size_t kInlineBytes = 48;
+
+  /// True when a callable of type Fn is stored inline (no allocation).
+  template <typename Fn>
+  static constexpr bool fitsInline() {
+    return sizeof(Fn) <= kInlineBytes &&
+           alignof(Fn) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<Fn>;
+  }
 
   SmallFunc() noexcept = default;
 
@@ -99,9 +46,7 @@ public:
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       ops_ = &inlineOps<Fn>;
     } else {
-      void* block = ActionSlabPool::instance().allocate(sizeof(Fn));
-      ::new (block) Fn(std::forward<F>(f));
-      heapObj() = block;
+      *reinterpret_cast<void**>(storage_) = new Fn(std::forward<F>(f));
       ops_ = &heapOps<Fn>;
     }
   }
@@ -139,13 +84,6 @@ private:
   };
 
   template <typename Fn>
-  static constexpr bool fitsInline() {
-    return sizeof(Fn) <= kInlineBytes &&
-           alignof(Fn) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
-
-  template <typename Fn>
   static constexpr Ops inlineOps{
       [](void* s) { (*std::launder(reinterpret_cast<Fn*>(s)))(); },
       [](void* from, void* to) noexcept {
@@ -164,9 +102,7 @@ private:
         *static_cast<void**>(to) = *static_cast<void**>(from);
       },
       [](void* s) noexcept {
-        Fn* obj = static_cast<Fn*>(*static_cast<void**>(s));
-        obj->~Fn();
-        ActionSlabPool::instance().deallocate(obj, sizeof(Fn));
+        delete static_cast<Fn*>(*static_cast<void**>(s));
       },
       false,
   };
@@ -184,10 +120,6 @@ private:
       ops_->destroy(storage_);
       ops_ = nullptr;
     }
-  }
-
-  [[nodiscard]] void*& heapObj() noexcept {
-    return *reinterpret_cast<void**>(storage_);
   }
 
   alignas(std::max_align_t) std::byte storage_[kInlineBytes];

@@ -8,6 +8,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace v6t::sim {
@@ -92,6 +93,8 @@ private:
 
 /// Epoch constant — the start of the experiment.
 inline constexpr SimTime kEpoch{0};
+/// An instant later than any the simulation reaches ("never").
+inline constexpr SimTime kNever{std::numeric_limits<std::int64_t>::max()};
 
 /// Render as "Dd HH:MM:SS.mmm" for logs and reports.
 [[nodiscard]] std::string toString(SimTime t);

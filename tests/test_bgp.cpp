@@ -2,11 +2,18 @@
 // schedule, hitlist service, and IRR/RPKI registries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <vector>
+
 #include "bgp/feed.hpp"
 #include "bgp/hitlist.hpp"
 #include "bgp/rib.hpp"
 #include "bgp/route_object.hpp"
 #include "bgp/splitter.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "sim/rng.hpp"
 
 namespace v6t::bgp {
 namespace {
@@ -95,6 +102,233 @@ TEST(BgpFeed, WithdrawCarriesOrigin) {
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[1].kind, UpdateKind::Withdraw);
   EXPECT_EQ(seen[1].origin, net::Asn{65009});
+}
+
+// A feed with many subscribers of different lag models and many updates —
+// announcements and withdrawals at distinct and coinciding instants.
+struct FeedFixture {
+  static constexpr std::uint64_t kSeed = 0x5eed;
+  static constexpr int kSubscribers = 40;
+
+  struct Delivery {
+    int subscriber = 0;
+    BgpUpdate update;
+    sim::SimTime arrivedAt;
+  };
+
+  static PropagationModel modelOf(int i) {
+    return PropagationModel{sim::seconds(30 + 7 * i), sim::minutes(1 + i % 9)};
+  }
+  static std::uint64_t keyOf(int i) { return 1000 + 17 * i; }
+  static Prefix prefixOf(int u) {
+    return Prefix{Ipv6Address{0x2001'0db8'0000'0000ULL |
+                                  (static_cast<std::uint64_t>(u % 12) << 16),
+                              0},
+                  48};
+  }
+  /// Update u: publish time and kind. Every third update repeats the
+  /// previous instant, so same-time publishes interleave their deliveries.
+  static sim::SimTime publishAt(int u) {
+    return sim::kEpoch + sim::minutes(3 * (u - u / 3));
+  }
+  static bool isAnnounce(int u) { return u % 5 != 4; }
+  static net::Asn originOf(int u) {
+    return net::Asn{65000u + static_cast<unsigned>(u)};
+  }
+  static constexpr int kUpdates = 60;
+
+  sim::Engine engine;
+  Rib rib;
+  obs::trace::Tracer tracer{obs::trace::TracerOptions{.seed = 99}};
+  BgpFeed feed{engine, rib, kSeed};
+  std::vector<Delivery> delivered;
+
+  void subscribeAll() {
+    for (int i = 0; i < kSubscribers; ++i) {
+      feed.subscribe(modelOf(i), keyOf(i), [this, i](const BgpUpdate& u) {
+        delivered.push_back({i, u, engine.now()});
+      });
+    }
+  }
+  void scheduleUpdates() {
+    for (int u = 0; u < kUpdates; ++u) {
+      engine.schedule(publishAt(u), [this, u] {
+        if (isAnnounce(u)) {
+          feed.announce(prefixOf(u), originOf(u));
+        } else {
+          feed.withdraw(prefixOf(u));
+        }
+      });
+    }
+  }
+};
+
+// FNV-1a over every field of every delivery, in delivery order.
+std::uint64_t deliveryDigest(const std::vector<FeedFixture::Delivery>& ds) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& d : ds) {
+    mix(static_cast<std::uint64_t>(d.subscriber));
+    mix(d.update.kind == UpdateKind::Announce ? 1 : 0);
+    mix(d.update.prefix.address().hi64());
+    mix(d.update.prefix.address().lo64());
+    mix(d.update.prefix.length());
+    mix(d.update.origin.value());
+    mix(static_cast<std::uint64_t>(d.update.ts.millis()));
+    mix(static_cast<std::uint64_t>(d.update.originTs.millis()));
+    mix(d.update.seq);
+    mix(d.update.traceId);
+    mix(static_cast<std::uint64_t>(d.arrivedAt.millis()));
+  }
+  return h;
+}
+
+TEST(BgpFeed, DeliveredUpdatesMatchPerSubscriberLagReference) {
+  FeedFixture f;
+  f.feed.bindTrace(&f.tracer);
+  f.subscribeAll();
+  f.scheduleUpdates();
+  f.engine.runAll();
+
+  // Reference: subscriber i draws one lag per update, in publish order,
+  // from its own (seed, key) stream; the delivery carries the update as
+  // published, stamped with its arrival time. Deliveries run in (arrival,
+  // scheduling) order — scheduling is update-major, subscriber-minor.
+  std::vector<std::tuple<sim::SimTime, int, int>> expectedOrder;
+  std::vector<sim::Rng> rngs;
+  for (int i = 0; i < FeedFixture::kSubscribers; ++i) {
+    rngs.emplace_back(sim::deriveStreamSeed(FeedFixture::kSeed,
+                                            FeedFixture::keyOf(i)));
+  }
+  for (int u = 0; u < FeedFixture::kUpdates; ++u) {
+    for (int i = 0; i < FeedFixture::kSubscribers; ++i) {
+      expectedOrder.emplace_back(
+          FeedFixture::publishAt(u) + FeedFixture::modelOf(i).sample(rngs[i]),
+          u, i);
+    }
+  }
+  std::stable_sort(expectedOrder.begin(), expectedOrder.end(),
+                   [](const auto& a, const auto& b) {
+                     return std::get<0>(a) < std::get<0>(b);
+                   });
+
+  ASSERT_EQ(f.delivered.size(), expectedOrder.size());
+  for (std::size_t k = 0; k < expectedOrder.size(); ++k) {
+    const auto [when, u, i] = expectedOrder[k];
+    const FeedFixture::Delivery& d = f.delivered[k];
+    ASSERT_EQ(d.subscriber, i) << "delivery " << k;
+    const BgpUpdate& got = d.update;
+    EXPECT_EQ(got.kind, FeedFixture::isAnnounce(u) ? UpdateKind::Announce
+                                                   : UpdateKind::Withdraw);
+    EXPECT_EQ(got.prefix, FeedFixture::prefixOf(u));
+    EXPECT_EQ(got.ts, when);
+    EXPECT_EQ(d.arrivedAt, when);
+    EXPECT_EQ(got.originTs, FeedFixture::publishAt(u));
+    EXPECT_EQ(got.seq, static_cast<std::uint64_t>(u));
+    EXPECT_EQ(got.traceId, f.tracer.updateTraceId(got.seq));
+    if (FeedFixture::isAnnounce(u)) {
+      EXPECT_EQ(got.origin, FeedFixture::originOf(u));
+    }
+  }
+  // Every field of the whole delivery sequence, pinned to the value the
+  // feed produced when each delivery event carried its own update copy.
+  EXPECT_EQ(deliveryDigest(f.delivered), 0x2d8a3bab01241e41ULL);
+}
+
+TEST(BgpFeed, UnsubscribeBeforeDeliveryDropsOnlyThatSubscriber) {
+  FeedFixture f;
+  f.subscribeAll();
+  // Subscriber ids are 1-based in subscription order: drop subscriber 7
+  // while its first update is still in flight.
+  f.engine.schedule(FeedFixture::publishAt(0), [&f] {
+    f.feed.announce(FeedFixture::prefixOf(0), net::Asn{65000});
+    f.feed.unsubscribe(8);
+  });
+  f.engine.runAll();
+  ASSERT_EQ(f.delivered.size(), FeedFixture::kSubscribers - 1u);
+  for (const auto& d : f.delivered) EXPECT_NE(d.subscriber, 7);
+  EXPECT_EQ(f.feed.subscriberCount(), FeedFixture::kSubscribers - 1u);
+}
+
+TEST(BgpFeed, RetiredSubscriberSeesExactlyTheDeliveriesUpToRetireAfter) {
+  // Two feeds on the same seed, one consumer each with the same stream key:
+  // the retiring one must see exactly the other's deliveries that arrive
+  // at or before retireAfter — same updates, same arrival times.
+  const sim::SimTime retireAfter = sim::kEpoch + sim::minutes(50);
+  const PropagationModel model{sim::minutes(2), sim::minutes(20)};
+  struct Side {
+    sim::Engine engine;
+    Rib rib;
+    obs::Registry metrics;
+    BgpFeed feed{engine, rib, 4242};
+    std::vector<BgpUpdate> seen;
+  };
+  Side keep;
+  Side retire;
+  keep.feed.subscribe(model, 77,
+                      [&keep](const BgpUpdate& u) { keep.seen.push_back(u); });
+  retire.feed.subscribe(
+      model, 77, [&retire](const BgpUpdate& u) { retire.seen.push_back(u); },
+      retireAfter);
+  for (Side* side : {&keep, &retire}) {
+    side->feed.bindMetrics(side->metrics);
+    for (int u = 0; u < 40; ++u) {
+      side->engine.schedule(sim::kEpoch + sim::minutes(2 * u), [side, u] {
+        side->feed.announce(FeedFixture::prefixOf(u), net::Asn{65001});
+      });
+    }
+    side->engine.runAll();
+  }
+
+  std::vector<BgpUpdate> expected;
+  for (const BgpUpdate& u : keep.seen) {
+    if (u.ts <= retireAfter) expected.push_back(u);
+  }
+  ASSERT_FALSE(expected.empty());
+  ASSERT_LT(expected.size(), keep.seen.size());
+  ASSERT_EQ(retire.seen.size(), expected.size());
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(retire.seen[k].ts, expected[k].ts);
+    EXPECT_EQ(retire.seen[k].seq, expected[k].seq);
+    EXPECT_EQ(retire.seen[k].prefix, expected[k].prefix);
+  }
+  // A skipped delivery is never scheduled: the delivery counter and the
+  // engine's event count drop by the same amount.
+  const std::size_t skipped = keep.seen.size() - expected.size();
+  EXPECT_EQ(*keep.metrics.value("bgp.feed.deliveries_total") -
+                *retire.metrics.value("bgp.feed.deliveries_total"),
+            static_cast<double>(skipped));
+  EXPECT_EQ(keep.engine.executedEvents() - retire.engine.executedEvents(),
+            skipped);
+  // The first update published past retireAfter retires the subscription.
+  EXPECT_EQ(keep.feed.subscriberCount(), 1u);
+  EXPECT_EQ(retire.feed.subscriberCount(), 0u);
+}
+
+TEST(BgpFeed, DeliveryExactlyAtRetireAfterStillArrives) {
+  // learnPrefix accepts now == activeUntil, so the feed must too.
+  sim::Engine engine;
+  Rib rib;
+  BgpFeed feed{engine, rib, 5};
+  const sim::SimTime retireAfter = sim::kEpoch + sim::minutes(10);
+  std::vector<sim::SimTime> arrivals;
+  feed.subscribe(PropagationModel{sim::minutes(4), {}}, 1,
+                 [&](const BgpUpdate& u) { arrivals.push_back(u.ts); },
+                 retireAfter);
+  for (const int minute : {6, 7}) {
+    engine.schedule(sim::kEpoch + sim::minutes(minute), [&feed] {
+      feed.announce(Prefix::mustParse("2001:db8::/32"), net::Asn{65001});
+    });
+  }
+  engine.runAll();
+  ASSERT_EQ(arrivals.size(), 1u);
+  EXPECT_EQ(arrivals[0], retireAfter);
+  EXPECT_EQ(feed.subscriberCount(), 1u); // nothing published past it yet
 }
 
 // ------------------------------------------------------------ SplitSchedule

@@ -1,10 +1,11 @@
 // Tests for the zero-allocation capture hot path: inline PayloadBuf
-// semantics and serialization, the generation-stamped slab-backed event
-// queue, the flat accounting sets, and the k-way canonical shard merge
-// (asserted digest-equal to the sort-based reference).
+// semantics and serialization, the generation-stamped event queue and its
+// inline-or-heap actions, the flat accounting sets, and the k-way canonical
+// shard merge (asserted digest-equal to the sort-based reference).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <sstream>
 #include <tuple>
@@ -288,22 +289,39 @@ TEST(FlatHashSet, MatchesUnorderedSetReference) {
   EXPECT_TRUE(set.insert(net::Ipv6Address{1, 1}));
 }
 
-// ----------------------------------------------------- slab event queue
+// ---------------------------------------------------------- event queue
 
-TEST(SmallFunc, InlineForEngineSizedCapturesSlabBeyond) {
+TEST(SmallFunc, InlineForEngineSizedCapturesHeapBeyond) {
   int hits = 0;
   std::uint64_t a = 1, b = 2, c = 3, d = 4, e = 5;
-  sim::SmallFunc small{[&hits, a, b, c, d, e] {
+  auto fits = [&hits, a, b, c, d, e] {
     hits += static_cast<int>(a + b + c + d + e);
-  }};
+  };
+  static_assert(sim::SmallFunc::fitsInline<decltype(fits)>());
+  sim::SmallFunc small{fits};
   EXPECT_TRUE(small.usesInline());
+
+  // Oversized: falls back to one heap object, owned like an inline one —
+  // it survives moves, and the last owner destroys it exactly once.
   std::array<std::uint64_t, 16> big{};
   big[15] = 21;
-  sim::SmallFunc large{[&hits, big] { hits += static_cast<int>(big[15]); }};
+  auto token = std::make_shared<int>(0);
+  auto oversized = [&hits, big, token] {
+    hits += static_cast<int>(big[15]);
+  };
+  static_assert(!sim::SmallFunc::fitsInline<decltype(oversized)>());
+  sim::SmallFunc large{std::move(oversized)};
   EXPECT_FALSE(large.usesInline());
+  EXPECT_EQ(token.use_count(), 2);
+  sim::SmallFunc moved{std::move(large)};
+  EXPECT_FALSE(static_cast<bool>(large));
+  EXPECT_FALSE(moved.usesInline());
+  EXPECT_EQ(token.use_count(), 2);
   small();
-  large();
+  moved();
   EXPECT_EQ(hits, 15 + 21);
+  moved = sim::SmallFunc{};
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(SmallFunc, CarriesMoveOnlyCaptures) {

@@ -124,6 +124,39 @@ TEST_F(ParallelEquivalenceTest, PacketAndSourceCountsMatch) {
   }
 }
 
+TEST_F(ParallelEquivalenceTest, ConcurrentMergeKeepsPerTelescopeStats) {
+  // One thread merges the four telescopes serially; four threads merge
+  // them concurrently, one telescope each. The rebuilt store re-derives
+  // every stat from the merged packets alone, so the stats must also
+  // describe exactly the packets they sit next to.
+  constexpr net::Protocol kProtocols[] = {
+      net::Protocol::Icmpv6, net::Protocol::Tcp, net::Protocol::Udp};
+  for (std::size_t t = 0; t < 4; ++t) {
+    const telescope::CaptureStore& concurrent = runOf(4).runner->capture(t);
+    telescope::CaptureStore rebuilt;
+    for (const net::Packet& p : concurrent.packets()) rebuilt.append(p);
+    const telescope::CaptureStore* refs[] = {&runOf(1).runner->capture(t),
+                                             &rebuilt};
+    for (const telescope::CaptureStore* ref : refs) {
+      EXPECT_EQ(concurrent.packetCount(), ref->packetCount());
+      EXPECT_EQ(concurrent.distinctSources128(), ref->distinctSources128());
+      EXPECT_EQ(concurrent.distinctSources64(), ref->distinctSources64());
+      EXPECT_EQ(concurrent.distinctDestinations(),
+                ref->distinctDestinations());
+      EXPECT_EQ(concurrent.distinctAsns(), ref->distinctAsns());
+      EXPECT_EQ(concurrent.hourlyCounts(), ref->hourlyCounts());
+      EXPECT_EQ(concurrent.dailyCounts(), ref->dailyCounts());
+      EXPECT_EQ(concurrent.weeklyCounts(), ref->weeklyCounts());
+      for (const net::Protocol proto : kProtocols) {
+        EXPECT_EQ(concurrent.packetsPerProtocol(proto),
+                  ref->packetsPerProtocol(proto))
+            << "telescope " << t << ", protocol "
+            << static_cast<int>(proto);
+      }
+    }
+  }
+}
+
 TEST_F(ParallelEquivalenceTest, SessionTablesMatch) {
   for (unsigned threads : kShardCounts) {
     for (std::size_t t = 0; t < 4; ++t) {
