@@ -171,6 +171,7 @@ int main(int argc, char** argv) {
   double ingestSeconds = 0;
   double analyzeSeconds = 0;
   std::uint64_t segments = 0;
+  std::uint64_t compactFanout = 0;
   std::uint64_t spilledBytes = 0;
   v6t::analysis::StreamingResult streamed;
   {
@@ -186,6 +187,7 @@ int main(int argc, char** argv) {
       ingestSeconds = secondsSince(t0);
     }
     segments = store.segmentCount();
+    compactFanout = store.options().compactFanout;
     spilledBytes = store.spilledBytes();
     std::cout << "spilled: " << segments << " segments, "
               << spilledBytes / (1024.0 * 1024.0) << " MiB on disk, memtable "
@@ -240,6 +242,8 @@ int main(int argc, char** argv) {
   summary.gauge("bench.out_of_core.spill_budget_bytes")
       .set(static_cast<double>(budget));
   summary.gauge("bench.out_of_core.segments").set(static_cast<double>(segments));
+  summary.gauge("bench.out_of_core.compact_fanout")
+      .set(static_cast<double>(compactFanout));
   summary.gauge("bench.out_of_core.spilled_bytes")
       .set(static_cast<double>(spilledBytes));
   summary.gauge("bench.out_of_core.ingest_seconds").set(ingestSeconds);

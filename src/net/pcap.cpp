@@ -17,17 +17,21 @@ std::size_t putLe(unsigned char* buf, T value) {
 }
 
 template <typename T>
-bool getLe(std::istream& in, T& value) {
-  std::array<char, sizeof(T)> buf;
-  in.read(buf.data(), buf.size());
-  if (in.gcount() != static_cast<std::streamsize>(buf.size())) return false;
+T getLe(const unsigned char* buf) {
   std::uint64_t v = 0;
-  for (std::size_t i = sizeof(T); i-- > 0;) {
-    v = (v << 8) | static_cast<std::uint8_t>(buf[i]);
-  }
-  value = static_cast<T>(v);
-  return true;
+  for (std::size_t i = sizeof(T); i-- > 0;) v = (v << 8) | buf[i];
+  return static_cast<T>(v);
 }
+
+Ipv6Address getAddr(const unsigned char* buf) {
+  std::array<std::uint8_t, 16> bytes;
+  std::memcpy(bytes.data(), buf, 16);
+  return Ipv6Address{bytes};
+}
+
+/// Encoded length of a record before its payload bytes.
+constexpr std::size_t kFixedBytes = 8 + 16 + 16 + 1 + 2 + 2 + 1 + 1 + 1 + 4;
+constexpr std::size_t kOriginBytes = 4 + 8;
 
 } // namespace
 
@@ -59,52 +63,39 @@ std::size_t encodeRecord(unsigned char* buf, const Packet& p,
   return n;
 }
 
-void writeRecord(std::ostream& out, const Packet& p, bool withOrigin) {
-  unsigned char buf[kMaxRecordBytes];
-  const std::size_t n = encodeRecord(buf, p, withOrigin);
-  out.write(reinterpret_cast<const char*>(buf),
-            static_cast<std::streamsize>(n));
-}
-
-RecordStatus readRecord(std::istream& in, Packet& p, bool withOrigin) {
-  std::int64_t ts = 0;
-  if (!getLe(in, ts)) return RecordStatus::Eof;
+RecordStatus decodeRecord(const unsigned char* buf, std::size_t avail,
+                          Packet& p, bool withOrigin, std::size_t& used) {
+  // Byte offsets follow the layout in pcap.hpp: ts 0, src 8, dst 24,
+  // proto 40, ports 41/43, icmpType/Code 45/46, hopLimit 47, srcAsn 48,
+  // then [originId, originSeq] and plen.
+  if (avail == 0) return RecordStatus::Eof;
+  const std::size_t head = kFixedBytes + (withOrigin ? kOriginBytes : 0) + 2;
+  if (avail < head) return RecordStatus::Malformed; // torn record
+  const std::uint8_t proto = buf[40];
+  const auto payloadLen = getLe<std::uint16_t>(buf + head - 2);
+  // An unknown protocol, or a payload longer than any this model can emit,
+  // marks a foreign or corrupt record.
+  if (proto > 2 || payloadLen > PayloadBuf::kCapacity) {
+    return RecordStatus::Malformed;
+  }
+  if (avail - head < payloadLen) return RecordStatus::Malformed;
   p = Packet{};
-  p.ts = sim::SimTime{ts};
-  std::array<std::uint8_t, 16> addr{};
-  auto readAddr = [&](Ipv6Address& out) {
-    in.read(reinterpret_cast<char*>(addr.data()), 16);
-    if (in.gcount() != 16) return false;
-    out = Ipv6Address{addr};
-    return true;
-  };
-  std::uint8_t proto = 0;
-  std::uint32_t asn = 0;
-  std::uint16_t payloadLen = 0;
-  if (!readAddr(p.src) || !readAddr(p.dst) || !getLe(in, proto) ||
-      !getLe(in, p.srcPort) || !getLe(in, p.dstPort) ||
-      !getLe(in, p.icmpType) || !getLe(in, p.icmpCode) ||
-      !getLe(in, p.hopLimit) || !getLe(in, asn)) {
-    return RecordStatus::Malformed; // torn record
-  }
-  if (withOrigin &&
-      (!getLe(in, p.originId) || !getLe(in, p.originSeq))) {
-    return RecordStatus::Malformed;
-  }
-  if (!getLe(in, payloadLen)) return RecordStatus::Malformed;
-  if (proto > 2) return RecordStatus::Malformed;
+  p.ts = sim::SimTime{getLe<std::int64_t>(buf)};
+  p.src = getAddr(buf + 8);
+  p.dst = getAddr(buf + 24);
   p.proto = static_cast<Protocol>(proto);
-  p.srcAsn = Asn{asn};
-  if (payloadLen > PayloadBuf::kCapacity) {
-    // Longer than any payload this model can emit: a foreign or corrupt
-    // record, rejected like an unknown protocol.
-    return RecordStatus::Malformed;
+  p.srcPort = getLe<std::uint16_t>(buf + 41);
+  p.dstPort = getLe<std::uint16_t>(buf + 43);
+  p.icmpType = buf[45];
+  p.icmpCode = buf[46];
+  p.hopLimit = buf[47];
+  p.srcAsn = Asn{getLe<std::uint32_t>(buf + 48)};
+  if (withOrigin) {
+    p.originId = getLe<std::uint32_t>(buf + kFixedBytes);
+    p.originSeq = getLe<std::uint64_t>(buf + kFixedBytes + 4);
   }
-  if (payloadLen > 0) {
-    p.payload.resize(payloadLen);
-    in.read(reinterpret_cast<char*>(p.payload.data()), payloadLen);
-    if (in.gcount() != payloadLen) return RecordStatus::Malformed;
-  }
+  p.payload.assign(buf + head, buf + head + payloadLen);
+  used = head + payloadLen;
   return RecordStatus::Ok;
 }
 
@@ -113,22 +104,42 @@ CaptureWriter::CaptureWriter(std::ostream& out) : out_(out) {
 }
 
 void CaptureWriter::write(const Packet& p) {
-  writeRecord(out_, p, /*withOrigin=*/false);
+  unsigned char buf[kMaxRecordBytes];
+  const std::size_t n = encodeRecord(buf, p, /*withOrigin=*/false);
+  out_.write(reinterpret_cast<const char*>(buf),
+             static_cast<std::streamsize>(n));
   ++records_;
 }
 
-CaptureReader::CaptureReader(std::istream& in) : in_(in) {
+CaptureReader::CaptureReader(std::istream& in)
+    : in_(in), buf_(kReadBlockBytes) {
   char magic[8];
   in_.read(magic, sizeof(magic));
   ok_ = in_.gcount() == sizeof(magic) &&
         std::memcmp(magic, kCaptureMagic, sizeof(magic)) == 0;
 }
 
+void CaptureReader::refill() {
+  if (eof_ || end_ - pos_ >= kMaxRecordBytes) return;
+  std::memmove(buf_.data(), buf_.data() + pos_, end_ - pos_);
+  end_ -= pos_;
+  pos_ = 0;
+  in_.read(reinterpret_cast<char*>(buf_.data() + end_),
+           static_cast<std::streamsize>(buf_.size() - end_));
+  const auto got = static_cast<std::size_t>(in_.gcount());
+  eof_ = got < buf_.size() - end_;
+  end_ += got;
+}
+
 std::optional<Packet> CaptureReader::next() {
   if (!ok_) return std::nullopt;
+  refill();
   Packet p;
-  switch (readRecord(in_, p, /*withOrigin=*/false)) {
+  std::size_t used = 0;
+  switch (decodeRecord(buf_.data() + pos_, end_ - pos_, p,
+                       /*withOrigin=*/false, used)) {
   case RecordStatus::Ok:
+    pos_ += used;
     return p;
   case RecordStatus::Eof:
     return std::nullopt; // clean EOF

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstddef>
 #include <istream>
 #include <optional>
 #include <ostream>
@@ -45,19 +46,19 @@ inline constexpr std::size_t kMaxRecordBytes = 82;
 std::size_t encodeRecord(unsigned char* buf, const Packet& p,
                          bool withOrigin);
 
-/// Append one record to `out` (v6tcap layout, or the origin-extended
-/// v6tseg layout).
-void writeRecord(std::ostream& out, const Packet& p, bool withOrigin);
-
 enum class RecordStatus : std::uint8_t {
   Ok,        ///< `p` holds the next record
   Eof,       ///< clean end: zero bytes available at a record boundary
   Malformed, ///< torn record, unknown protocol, or oversized payload
 };
 
-/// Read the next record from `in`. `withOrigin` must match how the stream
-/// was written — the base layout leaves originId/originSeq zero.
-RecordStatus readRecord(std::istream& in, Packet& p, bool withOrigin);
+/// Decode one record from the `avail` bytes at `buf`. On Ok, `used` is the
+/// record's encoded length; `withOrigin` must match how the bytes were
+/// written — the base layout leaves originId/originSeq zero. The one
+/// decoder behind both v6tcap and v6tseg: callers read whole blocks and
+/// decode from memory.
+RecordStatus decodeRecord(const unsigned char* buf, std::size_t avail,
+                          Packet& p, bool withOrigin, std::size_t& used);
 
 class CaptureWriter {
 public:
@@ -74,8 +75,13 @@ private:
   std::uint64_t records_ = 0;
 };
 
+/// Reads the stream ahead in blocks of kReadBlockBytes and decodes records
+/// from memory, so the stream's position runs ahead of the last record
+/// returned.
 class CaptureReader {
 public:
+  static constexpr std::size_t kReadBlockBytes = 64 * 1024;
+
   /// Validates the header; `ok()` is false on a foreign or truncated file.
   explicit CaptureReader(std::istream& in);
 
@@ -89,7 +95,14 @@ public:
   [[nodiscard]] std::vector<Packet> readAll();
 
 private:
+  /// Top the buffer up so it holds a whole record, unless the stream ends.
+  void refill();
+
   std::istream& in_;
+  std::vector<unsigned char> buf_; // read-ahead block
+  std::size_t pos_ = 0;            // next undecoded byte in buf_
+  std::size_t end_ = 0;            // valid bytes in buf_
+  bool eof_ = false;               // the stream has no more bytes
   bool ok_ = false;
 };
 

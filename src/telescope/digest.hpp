@@ -2,9 +2,9 @@
 //
 // Every equivalence proof in this repo bottoms out in one FNV-1a 64-bit
 // fold: CaptureStore::digest, the streaming analyzer's incremental capture
-// digest, the session tracker's per-session target digest, and the v6tseg
-// segment checksums all mix with the functions here, so "two digests are
-// equal" always means the same byte-for-byte statement.
+// digest and the session tracker's per-session target digest all mix with
+// the functions here, so "two digests are equal" always means the same
+// byte-for-byte statement.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +25,7 @@ inline void fnv1aMix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
-/// Fold a raw byte range into `h` — the segment file checksums.
+/// Fold a raw byte range into `h`, one byte at a time.
 inline void fnv1aBytes(std::uint64_t& h, const unsigned char* data,
                        std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {

@@ -1,9 +1,12 @@
 #include "telescope/segment_store.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
-#include <map>
+#include <fstream>
+#include <limits>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "net/pcap.hpp"
 #include "telescope/digest.hpp"
@@ -15,13 +18,43 @@ namespace v6t::telescope {
 namespace {
 
 constexpr std::size_t kHeaderBytes = sizeof(kSegmentMagic); // 8
-constexpr std::size_t kIndexEntryBytes = 24;
+constexpr std::size_t kIndexEntryBytes = 32;
 constexpr std::size_t kSourceEntryBytes = 24;
 // Footer prefix (covered by the meta checksum): minTs maxTs recordCount
-// indexCount sourceCount indexOffset dataChecksum.
-constexpr std::size_t kFooterPrefixBytes = 8 + 8 + 8 + 4 + 4 + 8 + 8;
+// indexCount sourceCount indexOffset firstSeq level reserved.
+constexpr std::size_t kFooterPrefixBytes = 8 + 8 + 8 + 4 + 4 + 8 + 8 + 4 + 4;
 static_assert(kFooterPrefixBytes + 8 + sizeof(kSegmentFooterMagic) ==
               kSegmentFooterBytes);
+
+/// The v6tseg v2 checksum over a byte range (docs/FORMATS.md): each
+/// 8-byte little-endian word w steps `h ^= w; h *= kFnvPrime; h ^= h >> 29`,
+/// then one tail word — the 0..7 leftover bytes little-endian, with their
+/// count in the top byte — steps the same way. Every step is a bijection of
+/// `h` for a fixed word and injective in the word for a fixed `h`, so any
+/// corruption confined to one word always changes the result.
+std::uint64_t wordChecksum(const unsigned char* data, std::size_t n) {
+  std::uint64_t h = kFnvBasis;
+  const auto step = [&h](std::uint64_t w) {
+    h ^= w;
+    h *= kFnvPrime;
+    h ^= h >> 29;
+  };
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, data + i, 8);
+    if constexpr (std::endian::native == std::endian::big) {
+      w = __builtin_bswap64(w);
+    }
+    step(w);
+  }
+  std::uint64_t tail = static_cast<std::uint64_t>(n - i) << 56;
+  for (std::size_t k = 0; i + k < n; ++k) {
+    tail |= static_cast<std::uint64_t>(data[i + k]) << (8 * k);
+  }
+  step(tail);
+  return h;
+}
 
 template <typename T>
 void putLe(std::string& out, T value) {
@@ -40,16 +73,34 @@ T getLe(const unsigned char* buf) {
   return static_cast<T>(v);
 }
 
+/// An address as its (hi64, lo64) halves: ordering the pairs orders the
+/// addresses.
+using AddrKey = std::pair<std::uint64_t, std::uint64_t>;
+
+struct AddrKeyHash {
+  std::size_t operator()(const AddrKey& k) const {
+    std::uint64_t x = (k.first * 0x9e3779b97f4a7c15ULL) ^ k.second;
+    x ^= x >> 32;
+    x *= 0xd6e8feb86659fd93ULL;
+    return static_cast<std::size_t>(x ^ (x >> 32));
+  }
+};
+
 /// Writes one segment to `<final>.tmp`, records in canonical order, then
 /// seals it: sparse index + source table + footer appended, stream closed,
 /// file renamed into place (the RdbDump shape — a reader never sees a
-/// half-written segment under its final name).
+/// half-written segment under its final name). Records are encoded into a
+/// one-block buffer that is checksummed and written whole when the block
+/// closes.
 class SegmentFileWriter {
 public:
-  SegmentFileWriter(fs::path finalPath, std::uint64_t indexStride)
+  SegmentFileWriter(fs::path finalPath, std::uint64_t indexStride,
+                    std::uint32_t level, std::uint64_t firstSeq)
       : finalPath_(std::move(finalPath)),
         tmpPath_(finalPath_.string() + ".tmp"),
         stride_(indexStride == 0 ? 1 : indexStride) {
+    meta_.level = level;
+    meta_.firstSeq = firstSeq;
     out_.open(tmpPath_, std::ios::binary | std::ios::trunc);
     if (!out_) {
       throw std::runtime_error("cannot open segment " + tmpPath_.string());
@@ -60,15 +111,16 @@ public:
 
   void write(const net::Packet& p) {
     if (meta_.recordCount % stride_ == 0) {
+      flushBlock();
       meta_.sparse.push_back(
-          SegmentIndexEntry{p.ts.millis(), meta_.recordCount, offset_});
+          SegmentIndexEntry{p.ts.millis(), meta_.recordCount, offset_, 0});
     }
-    unsigned char buf[net::kMaxRecordBytes];
-    const std::size_t n = net::encodeRecord(buf, p, /*withOrigin=*/true);
-    fnv1aBytes(meta_.dataChecksum, buf, n);
-    out_.write(reinterpret_cast<const char*>(buf),
-               static_cast<std::streamsize>(n));
-    offset_ += n;
+    if (block_.size() < blockLen_ + net::kMaxRecordBytes) {
+      block_.resize(std::max(2 * block_.size(),
+                             blockLen_ + net::kMaxRecordBytes));
+    }
+    blockLen_ += net::encodeRecord(block_.data() + blockLen_, p,
+                                   /*withOrigin=*/true);
     if (meta_.recordCount == 0 || p.ts < meta_.minTs) meta_.minTs = p.ts;
     if (meta_.recordCount == 0 || meta_.maxTs < p.ts) meta_.maxTs = p.ts;
     ++sourceCounts_[{p.src.hi64(), p.src.lo64()}];
@@ -80,18 +132,15 @@ public:
   /// crash seam of the recovery tests.
   std::pair<SegmentMeta, std::uint64_t> seal(
       const std::function<void(const fs::path&)>& beforeSeal) {
+    flushBlock();
     meta_.indexOffset = offset_;
-    meta_.sources.reserve(sourceCounts_.size());
-    for (const auto& [key, count] : sourceCounts_) {
-      std::array<std::uint8_t, 16> bytes{};
-      for (int i = 0; i < 8; ++i) {
-        bytes[static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(key.first >> (8 * (7 - i)));
-        bytes[static_cast<std::size_t>(8 + i)] =
-            static_cast<std::uint8_t>(key.second >> (8 * (7 - i)));
-      }
+    std::vector<std::pair<AddrKey, std::uint64_t>> counts(
+        sourceCounts_.begin(), sourceCounts_.end());
+    std::sort(counts.begin(), counts.end()); // (hi, lo) = address order
+    meta_.sources.reserve(counts.size());
+    for (const auto& [key, count] : counts) {
       meta_.sources.push_back(
-          SegmentSourceCount{net::Ipv6Address{bytes}, count});
+          SegmentSourceCount{net::Ipv6Address{key.first, key.second}, count});
     }
 
     // Meta block: sparse index, source table, footer prefix — checksummed
@@ -104,6 +153,7 @@ public:
       putLe<std::int64_t>(block, e.ts);
       putLe<std::uint64_t>(block, e.record);
       putLe<std::uint64_t>(block, e.offset);
+      putLe<std::uint64_t>(block, e.blockChecksum);
     }
     for (const SegmentSourceCount& s : meta_.sources) {
       putLe<std::uint64_t>(block, s.addr.hi64());
@@ -118,12 +168,13 @@ public:
     putLe<std::uint32_t>(block,
                          static_cast<std::uint32_t>(meta_.sources.size()));
     putLe<std::uint64_t>(block, meta_.indexOffset);
-    putLe<std::uint64_t>(block, meta_.dataChecksum);
-    std::uint64_t metaChecksum = kFnvBasis;
-    fnv1aBytes(metaChecksum,
-               reinterpret_cast<const unsigned char*>(block.data()),
-               block.size());
-    putLe<std::uint64_t>(block, metaChecksum);
+    putLe<std::uint64_t>(block, meta_.firstSeq);
+    putLe<std::uint32_t>(block, meta_.level);
+    putLe<std::uint32_t>(block, 0); // reserved
+    putLe<std::uint64_t>(
+        block, wordChecksum(
+                   reinterpret_cast<const unsigned char*>(block.data()),
+                   block.size()));
     block.append(kSegmentFooterMagic, sizeof(kSegmentFooterMagic));
 
     out_.write(block.data(), static_cast<std::streamsize>(block.size()));
@@ -138,16 +189,27 @@ public:
   }
 
 private:
+  /// Close the open block: stamp its checksum into its index entry and
+  /// write its bytes with one call.
+  void flushBlock() {
+    if (blockLen_ == 0) return;
+    meta_.sparse.back().blockChecksum = wordChecksum(block_.data(), blockLen_);
+    out_.write(reinterpret_cast<const char*>(block_.data()),
+               static_cast<std::streamsize>(blockLen_));
+    offset_ += blockLen_;
+    blockLen_ = 0;
+  }
+
   fs::path finalPath_;
   fs::path tmpPath_;
   std::uint64_t stride_;
   std::ofstream out_;
   std::uint64_t offset_ = 0;
-  SegmentMeta meta_{sim::SimTime{0}, sim::SimTime{0}, 0, 0, kFnvBasis, {},
-                    {}};
-  // Ordered by (hi, lo) => the table comes out address-sorted.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t>
-      sourceCounts_;
+  std::vector<unsigned char> block_; // the open block's encoded records
+  std::size_t blockLen_ = 0;
+  SegmentMeta meta_;
+  // Hashed per record, sorted once at seal.
+  std::unordered_map<AddrKey, std::uint64_t, AddrKeyHash> sourceCounts_;
 };
 
 [[nodiscard]] std::optional<std::uint64_t> parseSegmentSeq(
@@ -170,50 +232,68 @@ private:
 
 // --- SegmentCursor --------------------------------------------------------
 
-SegmentCursor::SegmentCursor(const fs::path& path, const SegmentMeta& meta,
-                             std::uint64_t firstRecord,
-                             std::uint64_t startOffset)
-    : path_(path.string()),
-      remaining_(meta.recordCount - firstRecord),
-      expectChecksum_(meta.dataChecksum),
-      runningChecksum_(kFnvBasis),
-      verify_(firstRecord == 0) {
-  in_.open(path, std::ios::binary);
-  if (!in_) throw std::runtime_error("cannot open segment " + path_);
-  in_.seekg(static_cast<std::streamoff>(startOffset));
-  if (remaining_ > 0) {
-    readNext();
+SegmentCursor::SegmentCursor(const fs::path& path,
+                             std::shared_ptr<const SegmentMeta> meta,
+                             std::size_t firstBlock)
+    : path_(path.string()), meta_(std::move(meta)), block_(firstBlock) {
+  if (block_ >= meta_->sparse.size()) return; // nothing left to read
+  file_.reset(std::fopen(path_.c_str(), "rb"));
+  if (!file_) throw std::runtime_error("cannot open segment " + path_);
+  // Unbuffered: every read is one whole block straight into buf_.
+  std::setvbuf(file_.get(), nullptr, _IONBF, 0);
+  if (std::fseek(file_.get(),
+                 static_cast<long>(meta_->sparse[block_].offset),
+                 SEEK_SET) != 0) {
+    throw std::runtime_error("cannot seek segment " + path_);
   }
+  loadBlock();
+  decodeNext();
 }
 
 bool SegmentCursor::advance() {
-  if (remaining_ == 0) {
-    if (valid_ && verify_ && runningChecksum_ != expectChecksum_) {
+  if (blockRemaining_ == 0) {
+    if (pos_ != buf_.size()) {
       valid_ = false;
-      throw std::runtime_error("segment data checksum mismatch: " + path_);
+      throw std::runtime_error("block length mismatch in segment " + path_);
     }
-    valid_ = false;
-    return false;
+    if (++block_ >= meta_->sparse.size()) {
+      valid_ = false;
+      return false;
+    }
+    loadBlock();
   }
-  readNext();
+  decodeNext();
   return true;
 }
 
-void SegmentCursor::readNext() {
-  if (net::readRecord(in_, head_, /*withOrigin=*/true) !=
-      net::RecordStatus::Ok) {
+void SegmentCursor::loadBlock() {
+  const std::vector<SegmentIndexEntry>& sparse = meta_->sparse;
+  const bool last = block_ + 1 == sparse.size();
+  const std::uint64_t end = last ? meta_->indexOffset : sparse[block_ + 1].offset;
+  const std::uint64_t endRecord =
+      last ? meta_->recordCount : sparse[block_ + 1].record;
+  buf_.resize(end - sparse[block_].offset);
+  if (std::fread(buf_.data(), 1, buf_.size(), file_.get()) != buf_.size()) {
+    valid_ = false;
+    throw std::runtime_error("torn block in segment " + path_);
+  }
+  if (wordChecksum(buf_.data(), buf_.size()) != sparse[block_].blockChecksum) {
+    valid_ = false;
+    throw std::runtime_error("segment block checksum mismatch: " + path_);
+  }
+  pos_ = 0;
+  blockRemaining_ = endRecord - sparse[block_].record;
+}
+
+void SegmentCursor::decodeNext() {
+  std::size_t used = 0;
+  if (net::decodeRecord(buf_.data() + pos_, buf_.size() - pos_, head_,
+                        /*withOrigin=*/true, used) != net::RecordStatus::Ok) {
     valid_ = false;
     throw std::runtime_error("torn record in segment " + path_);
   }
-  if (verify_) {
-    // Re-encode and fold: canonical encoding means encode(decode(x)) is
-    // byte-identical, so a full-file cursor reproduces the writer's
-    // checksum without a second I/O pass.
-    unsigned char buf[net::kMaxRecordBytes];
-    const std::size_t n = net::encodeRecord(buf, head_, /*withOrigin=*/true);
-    fnv1aBytes(runningChecksum_, buf, n);
-  }
-  --remaining_;
+  pos_ += used;
+  --blockRemaining_;
   valid_ = true;
 }
 
@@ -248,15 +328,18 @@ std::optional<SegmentMeta> SegmentReader::probe(const fs::path& path) {
   const auto indexCount = getLe<std::uint32_t>(footer + 24);
   const auto sourceCount = getLe<std::uint32_t>(footer + 28);
   meta.indexOffset = getLe<std::uint64_t>(footer + 32);
-  meta.dataChecksum = getLe<std::uint64_t>(footer + 40);
-  const auto metaChecksum = getLe<std::uint64_t>(footer + 48);
+  meta.firstSeq = getLe<std::uint64_t>(footer + 40);
+  meta.level = getLe<std::uint32_t>(footer + 48);
+  const auto reserved = getLe<std::uint32_t>(footer + 52);
+  const auto metaChecksum = getLe<std::uint64_t>(footer + 56);
 
   // The block sizes must tile the file exactly; anything else is a torn
   // or foreign layout.
   const std::uint64_t metaBytes =
       std::uint64_t{indexCount} * kIndexEntryBytes +
       std::uint64_t{sourceCount} * kSourceEntryBytes;
-  if (meta.indexOffset < kHeaderBytes ||
+  if (reserved != 0 || meta.indexOffset < kHeaderBytes ||
+      meta.indexOffset > size ||
       meta.indexOffset + metaBytes + kSegmentFooterBytes != size) {
     return std::nullopt;
   }
@@ -268,30 +351,35 @@ std::optional<SegmentMeta> SegmentReader::probe(const fs::path& path) {
   in.read(reinterpret_cast<char*>(block.data()),
           static_cast<std::streamsize>(block.size()));
   if (!in) return std::nullopt;
-  std::uint64_t check = kFnvBasis;
-  fnv1aBytes(check, block.data(), block.size());
-  if (check != metaChecksum) return std::nullopt;
+  if (wordChecksum(block.data(), block.size()) != metaChecksum) {
+    return std::nullopt;
+  }
 
   meta.sparse.reserve(indexCount);
   const unsigned char* p = block.data();
   for (std::uint32_t i = 0; i < indexCount; ++i, p += kIndexEntryBytes) {
-    meta.sparse.push_back(SegmentIndexEntry{getLe<std::int64_t>(p),
-                                            getLe<std::uint64_t>(p + 8),
-                                            getLe<std::uint64_t>(p + 16)});
+    const SegmentIndexEntry e{getLe<std::int64_t>(p),
+                              getLe<std::uint64_t>(p + 8),
+                              getLe<std::uint64_t>(p + 16),
+                              getLe<std::uint64_t>(p + 24)};
+    // Blocks must start at record 0 / the first record byte and tile the
+    // record area in ascending order: the cursor sizes its reads from them.
+    const bool ordered =
+        i == 0 ? e.record == 0 && e.offset == kHeaderBytes
+               : e.record > meta.sparse.back().record &&
+                     e.offset > meta.sparse.back().offset;
+    if (!ordered || e.record >= meta.recordCount ||
+        e.offset >= meta.indexOffset) {
+      return std::nullopt;
+    }
+    meta.sparse.push_back(e);
   }
+  if ((indexCount == 0) != (meta.recordCount == 0)) return std::nullopt;
   meta.sources.reserve(sourceCount);
   for (std::uint32_t i = 0; i < sourceCount; ++i, p += kSourceEntryBytes) {
-    const std::uint64_t hi = getLe<std::uint64_t>(p);
-    const std::uint64_t lo = getLe<std::uint64_t>(p + 8);
-    std::array<std::uint8_t, 16> bytes{};
-    for (int b = 0; b < 8; ++b) {
-      bytes[static_cast<std::size_t>(b)] =
-          static_cast<std::uint8_t>(hi >> (8 * (7 - b)));
-      bytes[static_cast<std::size_t>(8 + b)] =
-          static_cast<std::uint8_t>(lo >> (8 * (7 - b)));
-    }
-    meta.sources.push_back(SegmentSourceCount{net::Ipv6Address{bytes},
-                                              getLe<std::uint64_t>(p + 16)});
+    meta.sources.push_back(SegmentSourceCount{
+        net::Ipv6Address{getLe<std::uint64_t>(p), getLe<std::uint64_t>(p + 8)},
+        getLe<std::uint64_t>(p + 16)});
   }
   return meta;
 }
@@ -301,28 +389,23 @@ SegmentReader::SegmentReader(fs::path path) : path_(std::move(path)) {
   if (!meta) {
     throw std::runtime_error("invalid segment " + path_.string());
   }
-  meta_ = std::move(*meta);
+  meta_ = std::make_shared<const SegmentMeta>(std::move(*meta));
 }
 
 SegmentCursor SegmentReader::cursor() const {
-  return SegmentCursor{path_, meta_, 0, kHeaderBytes};
+  return SegmentCursor{path_, meta_, 0};
 }
 
 SegmentCursor SegmentReader::lowerBound(sim::SimTime t) const {
   // Last sparse entry strictly before t: every record before it is <= its
-  // ts < t, so the scan to the first record with ts >= t is bounded by one
-  // index stride.
-  std::uint64_t rec = 0;
-  std::uint64_t off = kHeaderBytes;
+  // ts < t, and every block after it starts at ts >= t, so the scan to the
+  // first record with ts >= t stays inside that one block.
   const auto it = std::partition_point(
-      meta_.sparse.begin(), meta_.sparse.end(),
+      meta_->sparse.begin(), meta_->sparse.end(),
       [&](const SegmentIndexEntry& e) { return e.ts < t.millis(); });
-  if (it != meta_.sparse.begin()) {
-    const SegmentIndexEntry& e = *(it - 1);
-    rec = e.record;
-    off = e.offset;
-  }
-  SegmentCursor c{path_, meta_, rec, off};
+  const auto block = static_cast<std::size_t>(
+      it == meta_->sparse.begin() ? 0 : it - meta_->sparse.begin() - 1);
+  SegmentCursor c{path_, meta_, block};
   while (!c.empty() && c.head().ts < t) {
     if (!c.advance()) break;
   }
@@ -332,9 +415,9 @@ SegmentCursor SegmentReader::lowerBound(sim::SimTime t) const {
 std::uint64_t SegmentReader::packetsFromSource(
     const net::Ipv6Address& addr) const {
   const auto it = std::partition_point(
-      meta_.sources.begin(), meta_.sources.end(),
+      meta_->sources.begin(), meta_->sources.end(),
       [&](const SegmentSourceCount& s) { return s.addr < addr; });
-  if (it == meta_.sources.end() || it->addr != addr) return 0;
+  if (it == meta_->sources.end() || it->addr != addr) return 0;
   return it->count;
 }
 
@@ -354,7 +437,7 @@ fs::path SegmentStore::segmentPath(std::uint64_t seq) const {
 }
 
 void SegmentStore::recoverDir() {
-  std::vector<std::pair<std::uint64_t, fs::path>> sealed;
+  std::vector<std::pair<std::uint64_t, SegmentReader>> sealed;
   std::vector<fs::path> partial;
   std::vector<fs::path> invalid;
   for (const auto& entry : fs::directory_iterator(options_.dir)) {
@@ -363,16 +446,18 @@ void SegmentStore::recoverDir() {
     if (name.ends_with(".v6tseg.tmp")) {
       partial.push_back(entry.path());
     } else if (const auto seq = parseSegmentSeq(name)) {
-      if (SegmentReader::probe(entry.path())) {
-        sealed.emplace_back(*seq, entry.path());
+      if (const auto meta = SegmentReader::probe(entry.path());
+          meta && meta->firstSeq <= *seq) {
+        sealed.emplace_back(*seq, SegmentReader{entry.path()});
       } else {
         invalid.push_back(entry.path());
       }
     }
   }
   // A `.tmp` is a spill the process died inside of; an unreadable sealed
-  // name is bit rot or a torn rename. Both are moved aside — never
-  // deleted, the operator may want the bytes — and never read again.
+  // name is bit rot or a torn rename; a v1 segment fails probe on its
+  // version byte. All are moved aside — never deleted, the operator may
+  // want the bytes — and never read again.
   for (const fs::path& p : partial) {
     fs::rename(p, fs::path{p.string() + ".quarantined"});
     ++recovery_.quarantined;
@@ -381,12 +466,28 @@ void SegmentStore::recoverDir() {
     fs::rename(p, fs::path{p.string() + ".quarantined"});
     ++recovery_.quarantined;
   }
-  std::sort(sealed.begin(), sealed.end());
-  segments_.reserve(sealed.size());
-  for (const auto& [seq, path] : sealed) {
-    segments_.emplace_back(path);
-    sealedRecords_ += segments_.back().meta().recordCount;
+  // A merge covers the sequence range [firstSeq, its own seq], and merged
+  // ranges nest. Newest first: a segment inside a range some newer kept
+  // segment covers is an input whose merge sealed before the input was
+  // removed — finish that compaction by removing it.
+  std::sort(sealed.begin(), sealed.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  std::uint64_t coveredFrom = std::numeric_limits<std::uint64_t>::max();
+  std::vector<SegmentReader> kept;
+  for (auto& [seq, reader] : sealed) {
     nextSeq_ = std::max(nextSeq_, seq + 1);
+    if (seq >= coveredFrom) {
+      fs::remove(reader.path());
+      ++recovery_.superseded;
+      continue;
+    }
+    coveredFrom = std::min(coveredFrom, reader.meta().firstSeq);
+    kept.push_back(std::move(reader));
+  }
+  segments_.assign(std::make_move_iterator(kept.rbegin()),
+                   std::make_move_iterator(kept.rend()));
+  for (const SegmentReader& seg : segments_) {
+    sealedRecords_ += seg.meta().recordCount;
   }
   recovery_.sealedSegments = segments_.size();
   recovery_.durableRecords = sealedRecords_;
@@ -410,7 +511,8 @@ void SegmentStore::spill() {
     span.emplace(*options_.metrics, "capture.spill.flush_seconds");
   }
   const std::vector<std::uint32_t> order = canonicalOrderOf(memtable_);
-  SegmentFileWriter writer{segmentPath(nextSeq_), options_.indexStride};
+  SegmentFileWriter writer{segmentPath(nextSeq_), options_.indexStride,
+                           /*level=*/0, /*firstSeq=*/nextSeq_};
   for (std::uint32_t i : order) writer.write(memtable_[i]);
   const std::uint64_t bytes = writer.seal(options_.beforeSeal).second;
   segments_.emplace_back(segmentPath(nextSeq_));
@@ -426,24 +528,49 @@ void SegmentStore::spill() {
         .set(static_cast<double>(segments_.size()));
   }
   memtable_.clear();
-  if (options_.compactFanout > 0 &&
-      segments_.size() >= options_.compactFanout) {
-    compact();
+  span.reset();
+
+  // Tiered compaction. Levels never increase from oldest to newest, so the
+  // newest segments sharing a level are that whole level; merging them
+  // once they number the fanout keeps at most fanout-1 segments per level
+  // and rewrites each record once per level it climbs. (After a crash a
+  // level can hold more than the fanout; the run then merges whole.)
+  const std::size_t fanout = options_.compactFanout;
+  while (fanout >= 2) {
+    std::size_t run = 1;
+    while (run < segments_.size() &&
+           segments_[segments_.size() - 1 - run].meta().level ==
+               segments_.back().meta().level) {
+      ++run;
+    }
+    if (run < fanout) break;
+    mergeNewest(run);
   }
 }
 
 void SegmentStore::compact() {
-  if (segments_.size() < 2) return;
+  if (segments_.size() >= 2) mergeNewest(segments_.size());
+}
+
+void SegmentStore::mergeNewest(std::size_t count) {
   std::optional<obs::Span> span;
   if (options_.metrics != nullptr) {
     span.emplace(*options_.metrics, "capture.spill.compact_seconds");
   }
+  const auto first =
+      segments_.end() - static_cast<std::ptrdiff_t>(count);
   std::vector<SegmentCursor> cursors;
-  cursors.reserve(segments_.size());
-  for (const SegmentReader& seg : segments_) cursors.push_back(seg.cursor());
+  cursors.reserve(count);
+  std::uint32_t level = 0;
+  std::uint64_t firstSeq = std::numeric_limits<std::uint64_t>::max();
+  for (auto it = first; it != segments_.end(); ++it) {
+    cursors.push_back(it->cursor());
+    level = std::max(level, it->meta().level + 1);
+    firstSeq = std::min(firstSeq, it->meta().firstSeq);
+  }
 
   const fs::path outPath = segmentPath(nextSeq_);
-  SegmentFileWriter writer{outPath, options_.indexStride};
+  SegmentFileWriter writer{outPath, options_.indexStride, level, firstSeq};
   std::uint64_t merged = 0;
   for (KWayMerge<SegmentCursor> merge{std::move(cursors)}; !merge.done();
        merge.pop()) {
@@ -451,8 +578,8 @@ void SegmentStore::compact() {
     ++merged;
   }
   writer.seal(options_.beforeSeal);
-  for (const SegmentReader& seg : segments_) fs::remove(seg.path());
-  segments_.clear();
+  for (auto it = first; it != segments_.end(); ++it) fs::remove(it->path());
+  segments_.erase(first, segments_.end());
   segments_.emplace_back(outPath);
   ++nextSeq_;
   if (options_.metrics != nullptr) {
@@ -484,29 +611,30 @@ std::uint64_t SegmentStore::packetsFromSource(
 
 SegmentStore::Cursor::Cursor(std::vector<SegmentCursor> segments,
                              std::vector<net::Packet> memRun)
-    : merge_(std::move(segments)), memRun_(std::move(memRun)) {}
-
-bool SegmentStore::Cursor::empty() const {
-  return merge_.done() && memPos_ >= memRun_.size();
+    : merge_(std::move(segments)), memRun_(std::move(memRun)) {
+  pickHead();
 }
 
-bool SegmentStore::Cursor::memFirst() const {
-  if (memPos_ >= memRun_.size()) return false;
-  if (merge_.done()) return true;
-  return canonicalKey(memRun_[memPos_]) < canonicalKey(merge_.head());
-}
-
-const net::Packet& SegmentStore::Cursor::head() const {
-  return memFirst() ? memRun_[memPos_] : merge_.head();
+void SegmentStore::Cursor::pickHead() {
+  const bool memLeft = memPos_ < memRun_.size();
+  if (merge_.done()) {
+    head_ = memLeft ? &memRun_[memPos_] : nullptr;
+  } else if (memLeft &&
+             canonicalKey(memRun_[memPos_]) < canonicalKey(merge_.head())) {
+    head_ = &memRun_[memPos_];
+  } else {
+    head_ = &merge_.head();
+  }
 }
 
 bool SegmentStore::Cursor::advance() {
-  if (memFirst()) {
+  if (memPos_ < memRun_.size() && head_ == &memRun_[memPos_]) {
     ++memPos_;
   } else {
     merge_.pop();
   }
-  return !empty();
+  pickHead();
+  return head_ != nullptr;
 }
 
 SegmentStore::Cursor SegmentStore::cursor() const {

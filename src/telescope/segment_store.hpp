@@ -5,11 +5,13 @@
 // memtable; when the memtable exceeds the configured byte budget it is
 // sorted into canonical (ts, originId, originSeq) order and dumped as one
 // immutable segment file — the RdbBase/RdbDump spill-run shape. Each
-// segment carries a sparse (ts, offset) index, a per-source packet-count
-// table, min/max timestamps and FNV checksums (the RdbMap role); when
-// enough sealed runs accumulate they are k-way-merged into one (RdbMerge).
-// Reads go through a merge cursor over the sealed segments plus the
-// memtable, built on the same kway_merge.hpp heap as the in-memory
+// segment carries a sparse (ts, offset, checksum) index whose entries cut
+// the records into blocks, a per-source packet-count table, min/max
+// timestamps and a metadata checksum (the RdbMap role). Compaction is
+// tiered: when the newest segments on one level reach the fanout they are
+// k-way-merged into one segment a level up (RdbMerge), so each record is
+// rewritten O(log spills) times. Reads go through a merge cursor over the
+// sealed segments plus the memtable, built on the same kway_merge.hpp heap as the in-memory
 // CaptureStore::mergeFrom — so the streamed order, and therefore every
 // digest downstream, is bitwise-identical to the in-memory path.
 //
@@ -17,14 +19,16 @@
 // place only when fully durable, and a spill always drains the whole
 // memtable — so the sealed segments hold exactly the first
 // `recovery().durableRecords` appends. Reopening a directory quarantines
-// `*.tmp` leftovers and unreadable segments, and a writer replays its
-// input from that watermark to reach the reference state exactly.
+// `*.tmp` leftovers and unreadable segments, drops inputs that a finished
+// compaction already covers, and a writer replays its input from that
+// watermark to reach the reference state exactly.
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -37,11 +41,11 @@
 
 namespace v6t::telescope {
 
-inline constexpr char kSegmentMagic[8] = {'V', '6', 'T', 'S', 'E', 'G', 1, 0};
+inline constexpr char kSegmentMagic[8] = {'V', '6', 'T', 'S', 'E', 'G', 2, 0};
 inline constexpr char kSegmentFooterMagic[8] = {'V', '6', 'T', 'S',
-                                                'E', 'G', 'F', 1};
+                                                'E', 'G', 'F', 2};
 /// Fixed footer size at the end of every sealed segment.
-inline constexpr std::size_t kSegmentFooterBytes = 64;
+inline constexpr std::size_t kSegmentFooterBytes = 72;
 
 /// Per-source packet count, sorted by address — the segment's source table.
 struct SegmentSourceCount {
@@ -50,11 +54,13 @@ struct SegmentSourceCount {
 };
 
 /// One sparse-index entry: timestamp, record ordinal and file offset of
-/// every indexStride-th record.
+/// every indexStride-th record. The records from one entry up to the next
+/// (or to the index) form a block, read and verified as a unit.
 struct SegmentIndexEntry {
   std::int64_t ts = 0;
   std::uint64_t record = 0;
   std::uint64_t offset = 0;
+  std::uint64_t blockChecksum = 0; // wordChecksum over the block's bytes
 };
 
 /// Everything a sealed segment says about itself without reading records:
@@ -64,36 +70,50 @@ struct SegmentMeta {
   sim::SimTime maxTs;
   std::uint64_t recordCount = 0;
   std::uint64_t indexOffset = 0; // file offset of the first index entry
-  std::uint64_t dataChecksum = 0; // FNV-1a over all record bytes
+  /// Lowest sequence number this segment covers: its own for a spill, the
+  /// lowest input's for a merge. Recovery drops segments a later merge
+  /// already covers.
+  std::uint64_t firstSeq = 0;
+  std::uint32_t level = 0; // compaction tier: 0 = spill, merge = 1 + max
   std::vector<SegmentIndexEntry> sparse; // ascending ts/record/offset
   std::vector<SegmentSourceCount> sources;
 };
 
 /// Streams one sealed segment's records in canonical order (a
-/// kway_merge.hpp cursor). Self-contained: owns its ifstream, so it
-/// outlives the SegmentReader/SegmentStore that minted it. A cursor that
-/// started at record 0 re-computes the data checksum and throws on
-/// mismatch when it reaches the end — a full read IS a verification pass.
+/// kway_merge.hpp cursor). Reads one index block at a time with a single
+/// read, checks the block checksum, then decodes from memory — so no
+/// record is ever yielded from a block that failed its check, whatever
+/// block the cursor started at. Self-contained: owns its file handle and
+/// shares the metadata, so it outlives the SegmentReader/SegmentStore that
+/// minted it.
 class SegmentCursor {
 public:
-  /// Cursor over `[firstRecord, recordCount)` starting at `startOffset`.
-  SegmentCursor(const std::filesystem::path& path, const SegmentMeta& meta,
-                std::uint64_t firstRecord, std::uint64_t startOffset);
+  /// Cursor over the records from index block `firstBlock` to the end.
+  /// Throws if that block is torn or fails its checksum.
+  SegmentCursor(const std::filesystem::path& path,
+                std::shared_ptr<const SegmentMeta> meta,
+                std::size_t firstBlock);
 
   [[nodiscard]] bool empty() const { return !valid_; }
   [[nodiscard]] const net::Packet& head() const { return head_; }
   bool advance();
 
 private:
-  void readNext();
+  struct FileCloser {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
 
-  std::ifstream in_;
+  void loadBlock();
+  void decodeNext();
+
+  std::unique_ptr<std::FILE, FileCloser> file_;
   std::string path_; // for error messages
+  std::shared_ptr<const SegmentMeta> meta_;
+  std::size_t block_ = 0; // index of the block held in buf_
+  std::vector<unsigned char> buf_;
+  std::size_t pos_ = 0; // next undecoded byte in buf_
+  std::uint64_t blockRemaining_ = 0; // records left to decode in buf_
   net::Packet head_;
-  std::uint64_t remaining_ = 0;
-  std::uint64_t expectChecksum_ = 0;
-  std::uint64_t runningChecksum_;
-  bool verify_ = false; // only full-file cursors can check the checksum
   bool valid_ = false;
 };
 
@@ -109,15 +129,15 @@ public:
   /// Throwing variant of probe() for paths that must be valid.
   explicit SegmentReader(std::filesystem::path path);
 
-  [[nodiscard]] const SegmentMeta& meta() const { return meta_; }
+  [[nodiscard]] const SegmentMeta& meta() const { return *meta_; }
   [[nodiscard]] const std::filesystem::path& path() const { return path_; }
 
-  /// Stream every record from the start (checksum-verified at the end).
+  /// Stream every record from the start.
   [[nodiscard]] SegmentCursor cursor() const;
 
   /// Cursor positioned at the first record with ts >= t: binary search the
-  /// sparse index for the last entry at or before t, then scan at most
-  /// indexStride records. Not checksum-verified (mid-file start).
+  /// sparse index for the last entry before t, then scan the rest of that
+  /// one block. Verified block by block like cursor().
   [[nodiscard]] SegmentCursor lowerBound(sim::SimTime t) const;
 
   /// Packets this segment holds from `addr` (exact, from the source
@@ -127,7 +147,7 @@ public:
 
 private:
   std::filesystem::path path_;
-  SegmentMeta meta_;
+  std::shared_ptr<const SegmentMeta> meta_;
 };
 
 struct SegmentStoreOptions {
@@ -135,9 +155,12 @@ struct SegmentStoreOptions {
   /// Memtable byte budget (packets * sizeof(net::Packet)); crossing it
   /// triggers a spill. 0 = never auto-spill (explicit spill() only).
   std::uint64_t spillBytes = 64ull << 20;
-  /// Sealed-segment count that triggers a compaction after a spill.
+  /// Tiered compaction: after a spill, once the newest segments that share
+  /// a level number this many, they merge into one segment a level up, and
+  /// the check repeats one level higher. Below 2 = never auto-compact.
   std::size_t compactFanout = 8;
-  /// One sparse index entry every this many records.
+  /// One sparse index entry every this many records; a block (the unit of
+  /// reads and checksums, buffered whole) spans this many records.
   std::uint64_t indexStride = 1024;
   obs::Registry* metrics = nullptr;
   /// Crash seam for the recovery tests: invoked with the still-unrenamed
@@ -154,11 +177,16 @@ public:
     std::uint64_t durableRecords = 0;
     std::size_t sealedSegments = 0;
     std::size_t quarantined = 0;
+    /// Inputs of a merge that sealed before they were removed (a crash
+    /// mid-compaction): deleted, since the merged segment holds them.
+    std::size_t superseded = 0;
   };
 
   /// Opens (creating the directory if needed) and recovers: `*.tmp`
-  /// leftovers and unreadable segments are renamed `*.quarantined`, valid
-  /// segments are adopted in sequence order.
+  /// leftovers and unreadable segments are renamed `*.quarantined`, merge
+  /// inputs covered by a later sealed merge are removed, and the remaining
+  /// segments are adopted in sequence order at the level their footer
+  /// records — so a reopened store resumes the same tiers.
   explicit SegmentStore(SegmentStoreOptions options);
 
   [[nodiscard]] const Recovery& recovery() const { return recovery_; }
@@ -171,10 +199,11 @@ public:
   void append(const net::Packet& p);
 
   /// Force the memtable to disk (no-op when empty). Auto-invoked when the
-  /// byte budget is crossed; compacts when the fanout threshold is hit.
+  /// byte budget is crossed; then runs the tiered compaction check.
   void spill();
 
-  /// Merge every sealed segment into one. No-op below two segments.
+  /// Merge every sealed segment into one, whatever its level. No-op below
+  /// two segments.
   void compact();
 
   [[nodiscard]] std::uint64_t recordCount() const {
@@ -204,15 +233,19 @@ public:
   public:
     Cursor(std::vector<SegmentCursor> segments,
            std::vector<net::Packet> memRun);
-    [[nodiscard]] bool empty() const;
-    [[nodiscard]] const net::Packet& head() const;
+    [[nodiscard]] bool empty() const { return head_ == nullptr; }
+    [[nodiscard]] const net::Packet& head() const { return *head_; }
     bool advance();
 
   private:
-    [[nodiscard]] bool memFirst() const;
+    /// Point head_ at the smaller of the two sources' heads (null when
+    /// both are exhausted): computed once per step, since merges above
+    /// this cursor read head() several times per record.
+    void pickHead();
     KWayMerge<SegmentCursor> merge_;
     std::vector<net::Packet> memRun_; // canonical-sorted memtable snapshot
     std::size_t memPos_ = 0;
+    const net::Packet* head_ = nullptr;
   };
   [[nodiscard]] Cursor cursor() const;
 
@@ -241,6 +274,9 @@ public:
 
 private:
   void recoverDir();
+  /// Merge the newest `count` sealed segments into one, a level above the
+  /// highest of them.
+  void mergeNewest(std::size_t count);
   [[nodiscard]] std::filesystem::path segmentPath(std::uint64_t seq) const;
 
   SegmentStoreOptions options_;

@@ -2,7 +2,9 @@
 // registries.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
+#include <string>
 
 #include "net/asn.hpp"
 #include "net/packet.hpp"
@@ -91,6 +93,192 @@ TEST(Pcap, EmptyCapture) {
   ASSERT_TRUE(reader.ok());
   EXPECT_FALSE(reader.next().has_value());
   EXPECT_TRUE(reader.ok());
+}
+
+TEST(Pcap, RoundTripAcrossReadBlocks) {
+  // Enough records that the reader refills its read-ahead block many
+  // times, with records straddling every refill boundary.
+  sim::Rng rng{23};
+  std::vector<Packet> in;
+  for (int i = 0; i < 6000; ++i) in.push_back(samplePacket(rng));
+  std::stringstream stream;
+  CaptureWriter writer{stream};
+  for (const Packet& p : in) writer.write(p);
+  ASSERT_GT(stream.str().size(), 4 * CaptureReader::kReadBlockBytes);
+
+  CaptureReader reader{stream};
+  const std::vector<Packet> out = reader.readAll();
+  EXPECT_TRUE(reader.ok());
+  ASSERT_EQ(out.size(), in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    ASSERT_TRUE(equal(in[i], out[i])) << "record " << i;
+  }
+}
+
+// --- the shared record decoder -------------------------------------------
+
+/// Field-by-field std::istream reader: the decoder the codec replaced, kept
+/// as the oracle decodeRecord must agree with.
+template <typename T>
+bool oracleGet(std::istream& in, T& value) {
+  std::array<char, sizeof(T)> buf;
+  in.read(buf.data(), buf.size());
+  if (in.gcount() != static_cast<std::streamsize>(buf.size())) return false;
+  std::uint64_t v = 0;
+  for (std::size_t i = sizeof(T); i-- > 0;) {
+    v = (v << 8) | static_cast<std::uint8_t>(buf[i]);
+  }
+  value = static_cast<T>(v);
+  return true;
+}
+
+bool oracleRead(std::istream& in, Packet& p, bool withOrigin) {
+  std::int64_t ts = 0;
+  std::array<std::uint8_t, 16> src{};
+  std::array<std::uint8_t, 16> dst{};
+  std::uint8_t proto = 0;
+  std::uint32_t asn = 0;
+  std::uint16_t len = 0;
+  if (!oracleGet(in, ts)) return false;
+  in.read(reinterpret_cast<char*>(src.data()), 16);
+  in.read(reinterpret_cast<char*>(dst.data()), 16);
+  if (!in || !oracleGet(in, proto) || !oracleGet(in, p.srcPort) ||
+      !oracleGet(in, p.dstPort) || !oracleGet(in, p.icmpType) ||
+      !oracleGet(in, p.icmpCode) || !oracleGet(in, p.hopLimit) ||
+      !oracleGet(in, asn)) {
+    return false;
+  }
+  if (withOrigin &&
+      (!oracleGet(in, p.originId) || !oracleGet(in, p.originSeq))) {
+    return false;
+  }
+  if (!oracleGet(in, len) || proto > 2 || len > PayloadBuf::kCapacity) {
+    return false;
+  }
+  p.ts = sim::SimTime{ts};
+  p.src = Ipv6Address{src};
+  p.dst = Ipv6Address{dst};
+  p.proto = static_cast<Protocol>(proto);
+  p.srcAsn = Asn{asn};
+  p.payload.resize(len);
+  in.read(reinterpret_cast<char*>(p.payload.data()), len);
+  return in.gcount() == len;
+}
+
+Packet codecPacket(sim::Rng& rng, std::size_t payloadLen) {
+  Packet p = samplePacket(rng);
+  p.icmpCode = static_cast<std::uint8_t>(rng.below(256));
+  p.originId = static_cast<std::uint32_t>(rng.next());
+  p.originSeq = rng.next();
+  p.payload.clear();
+  for (std::size_t i = 0; i < payloadLen; ++i) {
+    p.payload.push_back(static_cast<std::uint8_t>(rng.below(256)));
+  }
+  return p;
+}
+
+TEST(RecordCodec, DecodeMatchesFieldByFieldReader) {
+  for (const bool withOrigin : {false, true}) {
+    sim::Rng rng{withOrigin ? 31u : 32u};
+    std::string bytes;
+    std::vector<Packet> in;
+    for (int round = 0; round < 50; ++round) {
+      for (const std::size_t len : {0u, 1u, 12u, 16u}) {
+        in.push_back(codecPacket(rng, len));
+        unsigned char buf[kMaxRecordBytes];
+        const std::size_t n = encodeRecord(buf, in.back(), withOrigin);
+        bytes.append(reinterpret_cast<const char*>(buf), n);
+      }
+    }
+    std::istringstream oracle{bytes};
+    const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
+    std::size_t pos = 0;
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      Packet want;
+      ASSERT_TRUE(oracleRead(oracle, want, withOrigin)) << "record " << i;
+      Packet got;
+      std::size_t used = 0;
+      ASSERT_EQ(decodeRecord(data + pos, bytes.size() - pos, got, withOrigin,
+                             used),
+                RecordStatus::Ok)
+          << "record " << i;
+      pos += used;
+      EXPECT_EQ(static_cast<std::streamoff>(pos), oracle.tellg());
+      EXPECT_TRUE(equal(got, want)) << "record " << i;
+      EXPECT_TRUE(equal(got, in[i])) << "record " << i;
+      EXPECT_EQ(got.originId, withOrigin ? in[i].originId : 0u);
+      EXPECT_EQ(got.originSeq, withOrigin ? in[i].originSeq : 0u);
+    }
+    Packet rest;
+    std::size_t used = 0;
+    EXPECT_EQ(decodeRecord(data + pos, 0, rest, withOrigin, used),
+              RecordStatus::Eof);
+  }
+}
+
+TEST(RecordCodec, TruncatedLastRecordIsMalformedAtEveryOffset) {
+  sim::Rng rng{33};
+  std::stringstream stream;
+  CaptureWriter writer{stream};
+  writer.write(codecPacket(rng, 12));
+  const std::size_t firstEnd = stream.str().size();
+  writer.write(codecPacket(rng, 16));
+  const std::string full = stream.str();
+  const std::size_t lastLen = full.size() - firstEnd;
+
+  for (std::size_t keep = 1; keep < lastLen; ++keep) {
+    const std::string cut = full.substr(0, firstEnd + keep);
+    Packet p;
+    std::size_t used = 0;
+    EXPECT_EQ(decodeRecord(
+                  reinterpret_cast<const unsigned char*>(cut.data()) + firstEnd,
+                  keep, p, /*withOrigin=*/false, used),
+              RecordStatus::Malformed)
+        << keep << " of " << lastLen << " bytes";
+    std::istringstream torn{cut};
+    CaptureReader reader{torn};
+    ASSERT_TRUE(reader.ok());
+    EXPECT_EQ(reader.readAll().size(), 1u) << keep << " bytes kept";
+    EXPECT_FALSE(reader.ok()) << keep << " bytes kept";
+  }
+}
+
+TEST(RecordCodec, RejectsUnknownProtocolAndOversizedPayload) {
+  sim::Rng rng{34};
+  unsigned char buf[kMaxRecordBytes + 1];
+  const Packet p = codecPacket(rng, 16);
+  const std::size_t n = encodeRecord(buf, p, /*withOrigin=*/false);
+  const auto decodes = [&](const unsigned char* bytes, std::size_t len) {
+    Packet out;
+    std::size_t used = 0;
+    return decodeRecord(bytes, len, out, /*withOrigin=*/false, used);
+  };
+  ASSERT_EQ(decodes(buf, n), RecordStatus::Ok);
+
+  unsigned char bad[kMaxRecordBytes + 1];
+  std::copy(buf, buf + n, bad);
+  bad[40] = 3; // proto: ICMPv6/TCP/UDP are 0..2
+  EXPECT_EQ(decodes(bad, n), RecordStatus::Malformed);
+
+  // plen = 17 with 17 payload bytes present: oversized, not torn.
+  std::copy(buf, buf + n, bad);
+  bad[n - 16 - 2] = 17;
+  bad[n] = 0xab;
+  EXPECT_EQ(decodes(bad, n + 1), RecordStatus::Malformed);
+
+  for (const std::size_t offset : {std::size_t{40}, n - 18}) {
+    std::stringstream stream;
+    CaptureWriter writer{stream};
+    writer.write(p);
+    std::string data = stream.str();
+    data[sizeof(kCaptureMagic) + offset] =
+        static_cast<char>(offset == 40 ? 3 : 17);
+    if (offset != 40) data.push_back('\x01');
+    std::istringstream in{data};
+    CaptureReader reader{in};
+    EXPECT_FALSE(reader.next().has_value());
+    EXPECT_FALSE(reader.ok());
+  }
 }
 
 TEST(Packet, TraceroutePortRange) {

@@ -1,7 +1,8 @@
 // v6tseg disk format and the out-of-core SegmentStore: record round-trip
-// at the payload-length corners, malformed-file rejection, sparse-index
-// lookups against a linear-scan oracle, spill-schedule independence, and
-// crash recovery at the segment-flush boundary (DESIGN.md §15,
+// at the payload-length corners, malformed-file and block-corruption
+// rejection, sparse-index lookups against a linear-scan oracle,
+// spill-schedule independence, tiered-compaction bounds, and crash
+// recovery at the segment-flush and compaction boundaries (DESIGN.md §15,
 // docs/FORMATS.md).
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -17,9 +19,11 @@
 
 #include "net/packet.hpp"
 #include "net/pcap.hpp"
+#include "obs/metrics.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 #include "telescope/capture_store.hpp"
+#include "telescope/digest.hpp"
 #include "telescope/segment_store.hpp"
 #include "test_util.hpp"
 
@@ -224,8 +228,8 @@ TEST(SegmentStore, ProbeRejectsBitFlippedMetadata) {
 
 TEST(SegmentStore, FullScanDetectsBitFlippedRecordData) {
   // A flip inside the record area leaves the metadata block intact, so
-  // probe() accepts the file — the data checksum at the end of a full
-  // cursor pass is what catches it.
+  // probe() accepts the file — the block checksum is what catches it, as
+  // soon as a cursor loads that block (here the first, at construction).
   ScopedTempDir dir;
   const std::vector<net::Packet> packets = makeCapture(51, 200);
   SegmentStoreOptions options;
@@ -249,15 +253,150 @@ TEST(SegmentStore, FullScanDetectsBitFlippedRecordData) {
   const auto meta = SegmentReader::probe(seg);
   ASSERT_TRUE(meta.has_value()) << "metadata must still parse";
   SegmentReader reader{seg};
-  SegmentCursor cursor = reader.cursor();
   EXPECT_THROW(
       {
+        SegmentCursor cursor = reader.cursor();
         if (!cursor.empty()) {
           while (cursor.advance()) {
           }
         }
       },
       std::runtime_error);
+}
+
+/// Flip one byte in place (XOR), so a second call restores it.
+void flipByte(const fs::path& file, std::uint64_t offset) {
+  std::fstream f{file, std::ios::in | std::ios::out | std::ios::binary};
+  f.seekg(static_cast<std::streamoff>(offset));
+  char byte = 0;
+  f.read(&byte, 1);
+  byte = static_cast<char>(byte ^ 0x10);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(&byte, 1);
+}
+
+TEST(SegmentStore, EveryCursorRejectsACorruptBlockBeforeYieldingFromIt) {
+  ScopedTempDir dir;
+  const std::vector<net::Packet> packets = makeCapture(53, 40);
+  SegmentStoreOptions options;
+  options.dir = dir.path();
+  options.spillBytes = 0;
+  options.indexStride = 8; // five blocks of eight records
+  SegmentStore store{options};
+  for (const net::Packet& p : packets) store.append(p);
+  store.spill();
+  const std::vector<net::Packet> canonical = drain(store.cursor());
+  const SegmentReader& reader = store.segments()[0];
+  const SegmentMeta& meta = reader.meta();
+  ASSERT_EQ(meta.sparse.size(), 5u);
+
+  // Corrupt block 2 (records 16..23), one byte at a time.
+  constexpr std::size_t kBlock = 2;
+  const std::uint64_t begin = meta.sparse[kBlock].offset;
+  const std::uint64_t end = meta.sparse[kBlock + 1].offset;
+  const std::uint64_t blockFirst = meta.sparse[kBlock].record; // 16
+  const net::Ipv6Address blockSource = canonical[blockFirst].src;
+  const sim::SimTime blockTs = canonical[blockFirst].ts;
+
+  // Drains a cursor, counting the canonical-order records it yields (each
+  // must be the expected one); returns the count when it throws, -1 when
+  // it runs to the end without noticing, -2 when it yields a record of the
+  // corrupt block.
+  const auto yieldedBeforeThrow = [&](auto makeCursor,
+                                      std::size_t start) -> std::int64_t {
+    std::size_t at = start;
+    std::int64_t yielded = 0;
+    try {
+      auto cursor = makeCursor();
+      if (cursor.empty()) return -1;
+      do {
+        EXPECT_TRUE(samePacket(cursor.head(), canonical[at]));
+        if (at >= blockFirst) return -2; // yielded from the corrupt block
+        ++at;
+        ++yielded;
+      } while (cursor.advance());
+    } catch (const std::runtime_error&) {
+      return yielded;
+    }
+    return -1;
+  };
+  std::size_t lowerStart = 0;
+  while (canonical[lowerStart].ts < blockTs) ++lowerStart;
+
+  for (std::uint64_t off = begin; off < end; ++off) {
+    flipByte(reader.path(), off);
+    EXPECT_GE(yieldedBeforeThrow([&] { return reader.cursor(); }, 0), 0)
+        << "cursor() at byte " << off;
+    EXPECT_GE(yieldedBeforeThrow([&] { return reader.lowerBound(blockTs); },
+                                 lowerStart),
+              0)
+        << "lowerBound() at byte " << off;
+    // The source cursor streams every record of each segment that holds
+    // the source (callers filter), so it yields in canonical order too.
+    EXPECT_GE(yieldedBeforeThrow(
+                  [&] { return store.cursorForSource(blockSource); }, 0),
+              0)
+        << "cursorForSource() at byte " << off;
+    flipByte(reader.path(), off); // restore
+  }
+  EXPECT_EQ(drain(store.cursor()).size(), packets.size());
+}
+
+/// Writes a well-formed version-1 segment (the pre-block layout: 24-byte
+/// index entries, a whole-file FNV-1a data checksum, a 64-byte footer).
+void writeV1Segment(const fs::path& path,
+                    const std::vector<net::Packet>& canonical) {
+  std::string out{"V6TSEG\x01\x00", 8};
+  const auto put = [&out](std::uint64_t v, std::size_t bytes) {
+    for (std::size_t i = 0; i < bytes; ++i) {
+      out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  std::uint64_t data = kFnvBasis;
+  for (const net::Packet& p : canonical) {
+    unsigned char buf[net::kMaxRecordBytes];
+    const std::size_t n = net::encodeRecord(buf, p, /*withOrigin=*/true);
+    fnv1aBytes(data, buf, n);
+    out.append(reinterpret_cast<const char*>(buf), n);
+  }
+  const std::uint64_t indexOffset = out.size();
+  const std::size_t metaStart = out.size();
+  put(static_cast<std::uint64_t>(canonical.front().ts.millis()), 8);
+  put(0, 8);
+  put(8, 8); // one index entry: record 0 at offset 8
+  put(static_cast<std::uint64_t>(canonical.front().ts.millis()), 8);
+  put(static_cast<std::uint64_t>(canonical.back().ts.millis()), 8);
+  put(canonical.size(), 8);
+  put(1, 4);
+  put(0, 4);
+  put(indexOffset, 8);
+  put(data, 8);
+  std::uint64_t metaCheck = kFnvBasis;
+  fnv1aBytes(metaCheck,
+             reinterpret_cast<const unsigned char*>(out.data()) + metaStart,
+             out.size() - metaStart);
+  put(metaCheck, 8);
+  out.append("V6TSEGF\x01", 8);
+  std::ofstream{path, std::ios::binary}.write(
+      out.data(), static_cast<std::streamsize>(out.size()));
+}
+
+TEST(SegmentStore, VersionOneSegmentIsQuarantinedOnOpen) {
+  ScopedTempDir dir;
+  const std::vector<net::Packet> canonical =
+      canonicalReference(makeCapture(57, 100)).packets();
+  const fs::path v1 = dir.file("seg-000000.v6tseg");
+  writeV1Segment(v1, canonical);
+  EXPECT_FALSE(SegmentReader::probe(v1).has_value());
+
+  SegmentStoreOptions options;
+  options.dir = dir.path();
+  SegmentStore store{options};
+  EXPECT_EQ(store.recovery().quarantined, 1u);
+  EXPECT_EQ(store.segmentCount(), 0u);
+  EXPECT_EQ(store.recordCount(), 0u);
+  EXPECT_FALSE(fs::exists(v1));
+  EXPECT_TRUE(fs::exists(v1.string() + ".quarantined"));
 }
 
 // --- sparse index vs linear oracle ---------------------------------------
@@ -495,7 +634,194 @@ TEST(SegmentStore, RandomSpillSchedulesYieldByteIdenticalCapture) {
   }
 }
 
+// --- tiered compaction ---------------------------------------------------
+
+/// Smallest k with f^k >= n (0 for n <= 1).
+std::uint64_t ceilLog(std::uint64_t f, std::uint64_t n) {
+  std::uint64_t k = 0;
+  for (std::uint64_t reach = 1; reach < n; reach *= f) ++k;
+  return k;
+}
+
+std::vector<std::uint32_t> levelsOf(const SegmentStore& store) {
+  std::vector<std::uint32_t> out;
+  for (const SegmentReader& seg : store.segments()) {
+    out.push_back(seg.meta().level);
+  }
+  return out;
+}
+
+TEST(SegmentStore, TieredCompactionBoundsWritesAndSegmentCount) {
+  const std::vector<net::Packet> packets = makeCapture(87, 6000);
+  const CaptureStore reference = canonicalReference(packets);
+
+  for (std::uint64_t schedule = 0; schedule < 14; ++schedule) {
+    ScopedTempDir dir;
+    sim::Rng rng{2000 + schedule};
+    obs::Registry metrics;
+    SegmentStoreOptions options;
+    options.dir = dir.path();
+    options.compactFanout = 2 + schedule % 7; // 2..8
+    options.spillBytes = (1 + rng.below(8)) * 1024;
+    options.indexStride = 1 + rng.below(32);
+    options.metrics = &metrics;
+    const std::uint64_t f = options.compactFanout;
+    SegmentStore store{options};
+    for (const net::Packet& p : packets) {
+      store.append(p);
+      if (rng.below(150) == 0) store.spill();
+      const std::uint64_t spills =
+          metrics.counter("capture.spill.segments_total").value();
+      // Levels never increase toward the newest segment and no level holds
+      // a full fanout, so the count is bounded by the number of levels.
+      const std::vector<std::uint32_t> levels = levelsOf(store);
+      ASSERT_TRUE(std::is_sorted(levels.rbegin(), levels.rend()))
+          << "schedule " << schedule;
+      ASSERT_LE(store.segmentCount(), (f - 1) * (ceilLog(f, spills) + 1))
+          << "schedule " << schedule << " after " << spills << " spills";
+    }
+    store.spill();
+    const std::uint64_t spills =
+        metrics.counter("capture.spill.segments_total").value();
+    const std::uint64_t records =
+        metrics.counter("capture.spill.records_total").value();
+    const std::uint64_t rewritten =
+        metrics.counter("capture.spill.compacted_records_total").value();
+    ASSERT_GT(spills, f * f) << "schedule " << schedule
+                             << " should reach level 2";
+    EXPECT_EQ(records, packets.size());
+    EXPECT_LE(rewritten, records * ceilLog(f, spills))
+        << "schedule " << schedule << ": " << spills << " spills, fanout "
+        << f;
+    const std::vector<net::Packet> streamed = drain(store.cursor());
+    ASSERT_EQ(streamed.size(), reference.packets().size());
+    for (std::size_t i = 0; i < streamed.size(); ++i) {
+      ASSERT_TRUE(samePacket(streamed[i], reference.packets()[i]))
+          << "schedule " << schedule << " record " << i;
+    }
+  }
+}
+
+TEST(SegmentStore, ReopenedStoreResumesTheSameTiers) {
+  // Adopted segments keep the level their footer records: a store closed
+  // and reopened mid-run compacts exactly like one that never closed.
+  const std::vector<net::Packet> packets = makeCapture(89, 3000);
+  ScopedTempDir twinDir;
+  ScopedTempDir dir;
+  const auto options = [](const fs::path& path) {
+    SegmentStoreOptions o;
+    o.dir = path;
+    o.spillBytes = 0; // explicit spills: both stores see the same schedule
+    o.compactFanout = 3;
+    o.indexStride = 16;
+    return o;
+  };
+  SegmentStore twin{options(twinDir.path())};
+  auto store = std::make_unique<SegmentStore>(options(dir.path()));
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    twin.append(packets[i]);
+    store->append(packets[i]);
+    if (i % 100 != 99) continue;
+    twin.spill();
+    store->spill();
+    if (i % 700 == 699) {
+      const std::vector<std::uint32_t> before = levelsOf(*store);
+      store = std::make_unique<SegmentStore>(options(dir.path()));
+      EXPECT_EQ(levelsOf(*store), before) << "reopened after " << i + 1;
+      EXPECT_EQ(store->recovery().durableRecords, i + 1);
+    }
+    ASSERT_EQ(levelsOf(*store), levelsOf(twin)) << "after " << i + 1;
+  }
+  // 30 spills at fanout 3: 30 = 1010 in base 3.
+  EXPECT_EQ(levelsOf(*store), (std::vector<std::uint32_t>{3, 1}));
+  EXPECT_EQ(store->digest(), twin.digest());
+}
+
 // --- crash recovery ------------------------------------------------------
+
+TEST(SegmentStore, CrashMidRunReopenAndKeepSpillingMatchesReference) {
+  const std::vector<net::Packet> packets = makeCapture(97, 4000);
+  const CaptureStore reference = canonicalReference(packets);
+  // Crash at different seals: spills and tiered merges alike.
+  for (std::size_t crashAt : {2u, 4u, 7u, 11u, 16u}) {
+    ScopedTempDir dir;
+    const auto options = [&] {
+      SegmentStoreOptions o;
+      o.dir = dir.path();
+      o.spillBytes = 6144;
+      o.compactFanout = 3;
+      o.indexStride = 8;
+      return o;
+    };
+    std::size_t seals = 0;
+    {
+      SegmentStoreOptions o = options();
+      o.beforeSeal = [&](const fs::path&) {
+        if (++seals == crashAt) {
+          throw std::runtime_error{"injected crash at seal"};
+        }
+      };
+      SegmentStore store{o};
+      try {
+        for (const net::Packet& p : packets) store.append(p);
+        FAIL() << "crash seam never fired";
+      } catch (const std::runtime_error&) {
+      }
+    }
+    SegmentStore recovered{options()};
+    const std::uint64_t durable = recovered.recovery().durableRecords;
+    ASSERT_LE(durable, packets.size());
+    for (std::size_t i = durable; i < packets.size(); ++i) {
+      recovered.append(packets[i]);
+    }
+    recovered.spill();
+    const std::vector<net::Packet> streamed = drain(recovered.cursor());
+    ASSERT_EQ(streamed.size(), reference.packets().size())
+        << "crash at seal " << crashAt;
+    for (std::size_t i = 0; i < streamed.size(); ++i) {
+      ASSERT_TRUE(samePacket(streamed[i], reference.packets()[i]))
+          << "crash at seal " << crashAt << " record " << i;
+    }
+  }
+}
+
+TEST(SegmentStore, ReopenRemovesInputsOfASealedMerge) {
+  // A crash after a merge sealed but before its inputs were removed leaves
+  // every record twice on disk. The merged footer's firstSeq says which
+  // inputs it covers; recovery deletes them instead of double-counting.
+  ScopedTempDir dir;
+  ScopedTempDir stash;
+  const std::vector<net::Packet> packets = makeCapture(99, 900);
+  SegmentStoreOptions options;
+  options.dir = dir.path();
+  options.spillBytes = 0;
+  options.compactFanout = 100;
+  std::vector<fs::path> inputs;
+  {
+    SegmentStore store{options};
+    for (std::size_t i = 0; i < packets.size(); ++i) {
+      store.append(packets[i]);
+      if (i % 300 == 299) store.spill();
+    }
+    for (const SegmentReader& seg : store.segments()) {
+      inputs.push_back(seg.path());
+      fs::copy_file(seg.path(), stash.path() / seg.path().filename());
+    }
+    ASSERT_EQ(inputs.size(), 3u);
+    store.compact();
+    ASSERT_EQ(store.segmentCount(), 1u);
+  }
+  for (const fs::path& p : inputs) {
+    fs::copy_file(stash.path() / p.filename(), p);
+  }
+  SegmentStore recovered{options};
+  EXPECT_EQ(recovered.recovery().superseded, 3u);
+  EXPECT_EQ(recovered.recovery().quarantined, 0u);
+  EXPECT_EQ(recovered.segmentCount(), 1u);
+  EXPECT_EQ(recovered.recovery().durableRecords, packets.size());
+  for (const fs::path& p : inputs) EXPECT_FALSE(fs::exists(p));
+  EXPECT_EQ(recovered.digest(), canonicalReference(packets).digest());
+}
 
 TEST(SegmentStore, CrashAtFlushBoundaryQuarantinesAndReplaysToReference) {
   const std::vector<net::Packet> packets = makeCapture(91, 1500);
